@@ -1,6 +1,9 @@
 #include "obs/admin.hpp"
 
+#include <array>
+#include <span>
 #include <sstream>
+#include <string_view>
 
 #include "http/parser.hpp"
 #include "obs/consistency.hpp"
@@ -24,110 +27,102 @@ namespace {
 /// small enough that millis() cannot overflow.
 constexpr std::uint64_t kMaxMinMs = 1'000'000'000;
 
-/// Strict sanitizer for the /tracez query string.  Accepts exactly "" or
-/// "min_ms=<1..10 digits>"; everything else — stray parameters, empty
-/// value, signs, whitespace, overlong numbers — is INVALID_ARGUMENT.  The
-/// input came off the wire; after this gate only a bounded integer
-/// survives, so nothing attacker-controlled can reach a response body.
-GLOBE_SANITIZER Result<std::uint64_t> parse_tracez_query(
-    GLOBE_UNTRUSTED const std::string& query) {
-  if (query.empty()) return std::uint64_t{0};
-  constexpr std::string_view kKey = "min_ms=";
-  if (query.size() <= kKey.size() || query.compare(0, kKey.size(), kKey) != 0) {
-    return Status(util::ErrorCode::kInvalidArgument, "unknown query parameter");
-  }
-  std::string_view digits = std::string_view(query).substr(kKey.size());
-  if (digits.size() > 10) {
-    return Status(util::ErrorCode::kInvalidArgument, "min_ms out of range");
-  }
-  std::uint64_t value = 0;
-  for (char c : digits) {
-    if (c < '0' || c > '9') {
-      return Status(util::ErrorCode::kInvalidArgument, "min_ms not a number");
-    }
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  if (value > kMaxMinMs) {
-    return Status(util::ErrorCode::kInvalidArgument, "min_ms out of range");
-  }
-  return value;
-}
-
-/// Parsed /profilez query: table by default, folded stacks on request.
-struct ProfilezQuery {
-  bool folded = false;
-  std::uint64_t top_n = 20;
-};
-
 /// Upper bound on the n= row filter: far more stacks than the registry can
 /// hold, and small enough that rendering stays cheap.
 constexpr std::uint64_t kMaxProfileRows = 10'000;
+constexpr std::uint64_t kDefaultProfileRows = 20;
 
-/// Strict sanitizer for the /profilez query string, same discipline as
-/// /tracez: accepts exactly "", "fmt=folded", "n=<1..5 digits>" or
-/// "fmt=folded&n=<1..5 digits>"; anything else — stray parameters, other
-/// fmt words, signs, whitespace — is INVALID_ARGUMENT.  After this gate
-/// only a flag and a bounded integer survive, so nothing attacker-chosen
-/// can reach a response body.
-GLOBE_SANITIZER Result<ProfilezQuery> parse_profilez_query(
-    GLOBE_UNTRUSTED const std::string& query) {
-  ProfilezQuery out;
-  std::string_view rest = query;
-  constexpr std::string_view kFmt = "fmt=folded";
-  if (rest.substr(0, kFmt.size()) == kFmt) {
-    out.folded = true;
-    rest.remove_prefix(kFmt.size());
-    if (!rest.empty()) {
-      if (rest[0] != '&') {
-        return Status(util::ErrorCode::kInvalidArgument, "unknown fmt");
-      }
-      rest.remove_prefix(1);
-      if (rest.empty()) {
-        return Status(util::ErrorCode::kInvalidArgument, "trailing separator");
+/// One key an admin endpoint accepts.  Its value is either one of `words`
+/// or, when `words` is empty, a decimal number in [min, max] with no more
+/// digits than `max` has.
+struct QueryKey {
+  std::string_view name;
+  std::uint64_t min = 0;
+  std::uint64_t max = 0;
+  std::span<const std::string_view> words = {};
+};
+
+/// What the sanitizer lets through for one key: absent, a bounded number,
+/// or a word owned by the key table (never a view into the query).
+struct QueryValue {
+  bool present = false;
+  std::uint64_t number = 0;
+  std::string_view word;
+};
+
+/// Per-endpoint key tables, in the order the keys must appear.
+constexpr std::size_t kMaxQueryKeys = 2;
+using QueryValues = std::array<QueryValue, kMaxQueryKeys>;
+constexpr std::string_view kFoldedWord[] = {"folded"};
+constexpr std::string_view kStateWords[] = {
+    "fresh", "stale", "diverged", "expired", "missing", "unreachable"};
+constexpr QueryKey kTracezKeys[] = {{"min_ms", 0, kMaxMinMs}};
+constexpr QueryKey kProfilezKeys[] = {{"fmt", 0, 0, kFoldedWord},
+                                      {"n", 1, kMaxProfileRows}};
+constexpr QueryKey kReplicazKeys[] = {{"state", 0, 0, kStateWords}};
+
+Status bad_query(const char* why) {
+  return Status(util::ErrorCode::kInvalidArgument, why);
+}
+
+Result<QueryValue> parse_query_value(const QueryKey& key,
+                                     std::string_view value) {
+  QueryValue out;
+  out.present = true;
+  if (!key.words.empty()) {
+    for (std::string_view word : key.words) {
+      if (value == word) {
+        out.word = word;
+        return out;
       }
     }
+    return bad_query("unknown query value");
   }
-  if (rest.empty()) return out;
-  constexpr std::string_view kN = "n=";
-  if (rest.size() <= kN.size() || rest.substr(0, kN.size()) != kN) {
-    return Status(util::ErrorCode::kInvalidArgument, "unknown query parameter");
+  std::size_t max_digits = 1;
+  for (std::uint64_t m = key.max; m >= 10; m /= 10) ++max_digits;
+  if (value.empty() || value.size() > max_digits) {
+    return bad_query("query value out of range");
   }
-  std::string_view digits = rest.substr(kN.size());
-  if (digits.size() > 5) {  // kMaxProfileRows = 10000 needs five digits
-    return Status(util::ErrorCode::kInvalidArgument, "n out of range");
+  for (char c : value) {
+    if (c < '0' || c > '9') return bad_query("query value not a number");
+    out.number = out.number * 10 + static_cast<std::uint64_t>(c - '0');
   }
-  std::uint64_t value = 0;
-  for (char c : digits) {
-    if (c < '0' || c > '9') {
-      return Status(util::ErrorCode::kInvalidArgument, "n not a number");
-    }
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
+  if (out.number < key.min || out.number > key.max) {
+    return bad_query("query value out of range");
   }
-  if (value == 0 || value > kMaxProfileRows) {
-    return Status(util::ErrorCode::kInvalidArgument, "n out of range");
-  }
-  out.top_n = value;
   return out;
 }
 
-/// Strict sanitizer for the /replicaz query string.  Accepts exactly "" or
-/// "state=<one of the six ReplicaConsistency names>"; everything else is
-/// INVALID_ARGUMENT.  After this gate only a vetted constant survives —
-/// the filter string in the response is ours, never the peer's.
-GLOBE_SANITIZER Result<std::string> parse_replicaz_query(
-    GLOBE_UNTRUSTED const std::string& query) {
-  if (query.empty()) return std::string();
-  constexpr std::string_view kKey = "state=";
-  if (query.size() <= kKey.size() || query.compare(0, kKey.size(), kKey) != 0) {
-    return Status(util::ErrorCode::kInvalidArgument, "unknown query parameter");
+/// Strict query grammar shared by every admin endpoint: `key=value` pairs
+/// joined by `&`, keys from the endpoint's table, in table order, each at
+/// most once, values bounded as the table says.  Anything else — unknown,
+/// repeated or reordered keys, empty values, signs, whitespace, trailing
+/// separators, overlong numbers — is INVALID_ARGUMENT.  The input came off
+/// the wire; after this gate only bounded integers and table-owned words
+/// survive, so nothing attacker-controlled can reach a response body.
+GLOBE_SANITIZER Result<QueryValues> parse_admin_query(
+    GLOBE_UNTRUSTED std::string_view query, std::span<const QueryKey> keys) {
+  QueryValues out{};
+  std::size_t next = 0;
+  while (!query.empty()) {
+    std::size_t amp = query.find('&');
+    std::string_view pair = query.substr(0, amp);
+    query = amp == std::string_view::npos ? std::string_view()
+                                          : query.substr(amp + 1);
+    if (amp != std::string_view::npos && query.empty()) {
+      return bad_query("trailing separator");
+    }
+    std::size_t eq = pair.find('=');
+    if (eq == std::string_view::npos) return bad_query("malformed parameter");
+    std::size_t k = next;
+    while (k < keys.size() && keys[k].name != pair.substr(0, eq)) ++k;
+    if (k == keys.size()) return bad_query("unexpected query parameter");
+    Result<QueryValue> value = parse_query_value(keys[k], pair.substr(eq + 1));
+    if (!value.is_ok()) return value.status();
+    out[k] = *value;
+    next = k + 1;
   }
-  std::string_view want = std::string_view(query).substr(kKey.size());
-  static constexpr std::string_view kStates[] = {
-      "fresh", "stale", "diverged", "expired", "missing", "unreachable"};
-  for (std::string_view state : kStates) {
-    if (want == state) return std::string(state);
-  }
-  return Status(util::ErrorCode::kInvalidArgument, "unknown state filter");
+  return out;
 }
 
 /// Static error bodies only: a 4xx must not echo what the peer sent.
@@ -180,18 +175,19 @@ HttpResponse AdminHttpServer::serve_metrics() {
 }
 
 HttpResponse AdminHttpServer::serve_profilez(const std::string& query) {
-  Result<ProfilezQuery> parsed = parse_profilez_query(query);
+  Result<QueryValues> parsed = parse_admin_query(query, kProfilezKeys);
   if (!parsed.is_ok()) {
     return error_response(400,
                           "400 bad query: expected fmt=folded and/or n=<rows>\n");
   }
+  const QueryValue& n = (*parsed)[1];
   // Re-clamp the row count through the length guard: top_n sizes the table
   // buffer, and it arrived in an untrusted query string.
   std::uint32_t top_n = util::checked_count(
-      static_cast<std::uint32_t>(parsed->top_n),
+      static_cast<std::uint32_t>(n.present ? n.number : kDefaultProfileRows),
       static_cast<std::uint32_t>(kMaxProfileRows));
   ProfileSnapshot snap = config_.profile->snapshot();
-  std::string body = parsed->folded
+  std::string body = (*parsed)[0].present
                          ? to_folded(snap)
                          : to_table(snap, static_cast<std::size_t>(top_n));
   return HttpResponse::make(200, "OK", util::to_bytes(body), "text/plain");
@@ -228,14 +224,15 @@ HttpResponse AdminHttpServer::serve_healthz(net::ServerContext& ctx) {
 }
 
 HttpResponse AdminHttpServer::serve_tracez(const std::string& query) {
-  Result<std::uint64_t> min_ms = parse_tracez_query(query);
-  if (!min_ms.is_ok()) {
+  Result<QueryValues> parsed = parse_admin_query(query, kTracezKeys);
+  if (!parsed.is_ok()) {
     return error_response(400, "400 bad query: expected min_ms=<millis>\n");
   }
+  std::uint64_t min_ms = (*parsed)[0].number;
   std::vector<StitchedTrace> traces =
-      config_.collector->recent(64, util::millis(*min_ms));
+      config_.collector->recent(64, util::millis(min_ms));
   std::ostringstream os;
-  os << "{\"min_ms\":" << *min_ms
+  os << "{\"min_ms\":" << min_ms
      << ",\"seen\":" << config_.collector->traces_seen()
      << ",\"kept\":" << config_.collector->traces_kept() << ",\"traces\":[";
   for (std::size_t i = 0; i < traces.size(); ++i) {
@@ -278,13 +275,14 @@ HttpResponse AdminHttpServer::serve_alertz(net::ServerContext& ctx) {
 }
 
 HttpResponse AdminHttpServer::serve_replicaz(const std::string& query) {
-  Result<std::string> filter = parse_replicaz_query(query);
-  if (!filter.is_ok()) {
+  Result<QueryValues> parsed = parse_admin_query(query, kReplicazKeys);
+  if (!parsed.is_ok()) {
     return error_response(
         400,
         "400 bad query: expected "
         "state=<fresh|stale|diverged|expired|missing|unreachable>\n");
   }
+  const QueryValue& filter = (*parsed)[0];
   std::vector<ReplicaRow> rows = config_.auditor->rows();
   std::ostringstream os;
   os << "# replicaz rounds=" << config_.auditor->rounds()
@@ -293,7 +291,7 @@ HttpResponse AdminHttpServer::serve_replicaz(const std::string& query) {
   os << "# replica oid epoch master lag staleness_ms expiry_s state\n";
   for (const ReplicaRow& row : rows) {
     const char* state = replica_consistency_name(row.state);
-    if (!filter->empty() && *filter != state) continue;
+    if (filter.present && filter.word != state) continue;
     std::uint64_t lag =
         row.master_epoch > row.epoch ? row.master_epoch - row.epoch : 0;
     os << row.replica << ' ' << row.oid_hex << " epoch=" << row.epoch

@@ -25,8 +25,8 @@ fixpoint:
     OWN lock (`cv_.wait(lock)`); any other lock held across the wait
     still flags.
 
-Two interchangeable frontends produce the same per-function event IR
-(mirroring tools/taint_check.py):
+Two interchangeable frontends produce the same per-function event IR over
+the shared scanning core in tools/cxxscan:
 
   * ``clang`` — libclang over compile_commands.json; reads the
     [[clang::annotate("globe::blocking")]] attribute.  Used in CI.
@@ -50,22 +50,24 @@ Usage:
 
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import sys
 from dataclasses import dataclass, field
 
-REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from cxxscan import clang_frontend, cli, ir
+from cxxscan.clang_frontend import annots_of, file_of, qualified
+from cxxscan.flow import dedupe
+from cxxscan.ir import REPO, subsys_of
+from cxxscan.lex import (CONTROL, KEYWORDS, is_ident, is_macro, match_forward,
+                         split_top, strip_comments, tokenize)
+from cxxscan.lite import (MUTEX_TYPES, class_bodies, harvest_mutexes,
+                          parse_expr, scan_declarations, type_base)
 
 ANNOT_BLOCKING = "blocking"
 
-CLANG_ANNOTATION_OF = {"globe::blocking": ANNOT_BLOCKING}
-
 GUARD_KINDS = {"LockGuard": "guard", "RecursiveLockGuard": "guard_rec",
                "UniqueLock": "unique"}
-
-MUTEX_TYPES = {"Mutex": "mutex", "RecursiveMutex": "recursive"}
 
 # Thread primitives that park the calling thread without an annotation of
 # their own (std::this_thread & friends).
@@ -73,7 +75,7 @@ SLEEP_FNS = {"sleep_for", "sleep_until", "usleep", "nanosleep"}
 
 # Method names of std:: containers/strings: a receiver call with one of
 # these names and an unknown receiver type must never alias onto project
-# code through name-only resolution (same guard as taint_check.py).
+# code through name-only resolution (same guard as cxxscan/flow.py).
 STD_CONTAINER_METHODS = {
     "insert", "erase", "assign", "append", "push_back", "pop_back",
     "emplace", "emplace_back", "find", "count", "at", "substr", "clear",
@@ -84,8 +86,17 @@ STD_CONTAINER_METHODS = {
 MAX_CHAIN = 8  # call-chain depth cap in diagnostics
 
 
+def unwrap(spelling: str) -> str:
+    """Base type, looking through unique_ptr / shared_ptr / optional, so a
+    `std::unique_ptr<GlobeDocProxy> proxy_` receiver resolves."""
+    base = type_base(spelling)
+    if base in ("unique_ptr", "shared_ptr", "optional") and "<" in spelling:
+        return type_base(spelling.split("<", 1)[1].rsplit(">", 1)[0])
+    return base
+
+
 # --------------------------------------------------------------------------
-# Shared IR
+# Event IR
 # --------------------------------------------------------------------------
 
 @dataclass
@@ -139,20 +150,15 @@ class Func:
     requires: set = field(default_factory=set)     # set[tuple chain]
 
 
-@dataclass
-class Program:
-    funcs: dict = field(default_factory=dict)
-    by_name: dict = field(default_factory=dict)
-    fields: dict = field(default_factory=dict)     # class -> {field -> type}
-    mutexes: dict = field(default_factory=dict)    # lockid -> info dict
-    member_owner: dict = field(default_factory=dict)  # member -> [lockid]
+class Program(ir.Program):
+    """Event-IR program plus the mutex registry."""
 
-    def add(self, f: Func):
-        prev = self.funcs.get(f.qname)
-        if prev is None:
-            self.funcs[f.qname] = f
-            self.by_name.setdefault(f.qname.split("::")[-1], []).append(f.qname)
-            return
+    def __init__(self):
+        super().__init__(annots=frozenset({ANNOT_BLOCKING}))
+        self.mutexes = {}       # lockid -> info dict
+        self.member_owner = {}  # member -> [lockid]
+
+    def merge(self, prev: Func, f: Func):
         prev.annots |= f.annots
         prev.requires |= f.requires
         if f.has_body and not prev.has_body:
@@ -174,147 +180,18 @@ class Program:
                 return lid
         return None
 
-
-def subsys_of(relpath: str) -> str:
-    parts = relpath.replace("\\", "/").split("/")
-    if parts[0] == "src" and len(parts) >= 3:
-        return parts[1]
-    return "test"
+    def harvest_mutexes(self, text, relpath):
+        for cls, member, kind, line in harvest_mutexes(text):
+            self.register_mutex(subsys_of(relpath), cls, member, kind,
+                                relpath, line)
 
 
 # --------------------------------------------------------------------------
-# Lite frontend
+# Lite frontend (declarations come from cxxscan.lite.scan_declarations)
 # --------------------------------------------------------------------------
-
-_TOKEN_RE = re.compile(
-    r"""[A-Za-z_]\w*
-      | 0[xX][0-9a-fA-F']+ | \d[\d.'eEfuUlL]*
-      | ::|->\*?|\.\*|<<=|>>=|<=>|==|!=|<=|>=|&&|\|\||\+=|-=|\*=|/=|%=|\|=|&=|\^=|<<|>>|\+\+|--
-      | [{}()\[\];,<>=!&|*+\-/%?:~^.\#@]
-    """,
-    re.VERBOSE,
-)
-
-_KEYWORDS = {
-    "if", "else", "for", "while", "do", "switch", "case", "default", "break",
-    "continue", "return", "goto", "try", "catch", "throw", "new", "delete",
-    "sizeof", "alignof", "static_cast", "dynamic_cast", "const_cast",
-    "reinterpret_cast", "true", "false", "nullptr", "this", "const",
-    "constexpr", "static", "inline", "virtual", "override", "final",
-    "noexcept", "mutable", "explicit", "auto", "void", "bool", "char", "int",
-    "unsigned", "signed", "long", "short", "float", "double", "class",
-    "struct", "enum", "union", "namespace", "using", "typedef", "template",
-    "typename", "public", "private", "protected", "friend", "operator",
-    "co_await", "co_return", "co_yield", "std",
-}
-
-# Macro tokens that may sit in a declarator's qualifier zone.  All are
-# skipped (with their argument lists); GLOBE_REQUIRES and GLOBE_BLOCKING
-# additionally feed the IR.
-_QUAL_MACROS = {"GLOBE_EXCLUDES", "GLOBE_REQUIRES", "GLOBE_GUARDED_BY",
-                "GLOBE_PT_GUARDED_BY", "GLOBE_ACQUIRE", "GLOBE_RELEASE",
-                "GLOBE_NO_THREAD_SAFETY_ANALYSIS", "GLOBE_SCOPED_CAPABILITY",
-                "GLOBE_ACQUIRED_BEFORE", "GLOBE_ACQUIRED_AFTER",
-                "GLOBE_TRY_ACQUIRE", "GLOBE_ASSERT_CAPABILITY",
-                "GLOBE_RETURN_CAPABILITY", "GLOBE_REQUIRES_SHARED"}
-_PREFIX_MACROS = {"GLOBE_BLOCKING", "GLOBE_UNTRUSTED", "GLOBE_SANITIZER",
-                  "GLOBE_TRUSTED_SINK", "GLOBE_CAPABILITY"}
-_NOISE_IDENTS = _QUAL_MACROS | _PREFIX_MACROS
-
-_CONTROL = {"if", "for", "while", "switch", "catch", "else", "do", "try"}
 
 _LAMBDA_PREV = {None, "(", ",", "=", "return", "{", ";", ":", "?",
                 "&&", "||", "!", "(", "co_return"}
-
-
-def _strip_comments(text: str) -> str:
-    out = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "/" and i + 1 < n and text[i + 1] == "/":
-            j = text.find("\n", i)
-            i = n if j < 0 else j
-        elif c == "/" and i + 1 < n and text[i + 1] == "*":
-            j = text.find("*/", i + 2)
-            seg = text[i:(n if j < 0 else j + 2)]
-            out.append("\n" * seg.count("\n"))
-            i = n if j < 0 else j + 2
-        elif c == "'" and i > 0 and text[i - 1] in "0123456789abcdefABCDEF" \
-                and i + 1 < n and text[i + 1].isalnum():
-            i += 1  # digit separator (1'000'000), not a char literal
-        elif c in "\"'":
-            quote, j = c, i + 1
-            while j < n and text[j] != quote:
-                j += 2 if text[j] == "\\" else 1
-            out.append('""' if quote == '"' else "0")
-            i = min(j + 1, n)
-        elif c == "#" and (i == 0 or text[i - 1] == "\n"):
-            j = i
-            while j < n:
-                k = text.find("\n", j)
-                if k < 0:
-                    j = n
-                    break
-                if text[k - 1] == "\\":
-                    j = k + 1
-                    continue
-                j = k
-                break
-            seg = text[i:j]
-            out.append("\n" * seg.count("\n"))
-            i = j
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
-
-
-def _tokenize(text: str):
-    toks = []
-    line = 1
-    pos = 0
-    for m in _TOKEN_RE.finditer(text):
-        line += text.count("\n", pos, m.start())
-        pos = m.start()
-        toks.append((m.group(0), line))
-    return toks
-
-
-def _match_forward(toks, i, open_t, close_t):
-    depth = 0
-    while i < len(toks):
-        t = toks[i][0]
-        if t == open_t:
-            depth += 1
-        elif t == close_t:
-            depth -= 1
-            if depth == 0:
-                return i + 1
-        i += 1
-    return len(toks)
-
-
-def _split_top(toks, sep=","):
-    parts, cur = [], []
-    p = a = 0
-    for tk in toks:
-        t = tk[0]
-        if t in "([{":
-            p += 1
-        elif t in ")]}":
-            p -= 1
-        elif t == "<":
-            a += 1
-        elif t == ">" and a > 0:
-            a -= 1
-        if t == sep and p == 0 and a == 0:
-            parts.append(cur)
-            cur = []
-        else:
-            cur.append(tk)
-    parts.append(cur)
-    return parts
 
 
 def _chain_of(toks):
@@ -322,61 +199,32 @@ def _chain_of(toks):
     out = []
     for tk in toks:
         t = tk[0]
-        if re.match(r"[A-Za-z_]", t) and t not in _KEYWORDS \
-                and t not in ("util", "globe", "std") and t not in _NOISE_IDENTS:
+        if is_ident(t) and t not in KEYWORDS \
+                and t not in ("util", "globe", "std") and not is_macro(t):
             out.append(t)
     return tuple(out)
 
 
-def _parse_expr(toks):
-    """Expression token list -> (refs, calls).  Mirrors taint_check.py."""
-    refs, calls = [], []
-    i = 0
-    n = len(toks)
-    while i < n:
-        t, line = toks[i]
-        if re.match(r"[A-Za-z_]", t) and t not in _KEYWORDS \
-                and t not in _NOISE_IDENTS:
-            chain, seps = [t], []
-            j = i + 1
-            while j + 1 < n and toks[j][0] in ("::", ".", "->") \
-                    and re.match(r"[A-Za-z_]", toks[j + 1][0]) \
-                    and toks[j + 1][0] not in _KEYWORDS:
-                seps.append(toks[j][0])
-                chain.append(toks[j + 1][0])
-                j += 2
-            if j < n and toks[j][0] == "(":
-                cs = CallSite(line=line, chain=chain)
-                if seps and seps[-1] in (".", "->"):
-                    cs.recv_path = chain[:-1]
-                    cs.recv = cs.recv_path[0]
-                else:
-                    cs.explicit = bool(seps)
-                end = _match_forward(toks, j, "(", ")")
-                inner = toks[j + 1:end - 1]
-                for part in _split_top(inner):
-                    if not part:
-                        continue
-                    cs.nargs += 1
-                    arefs, acalls = _parse_expr(part)
-                    cs.arg_refs.extend(arefs)
-                    calls.extend(acalls)       # nested calls flattened
-                calls.append(cs)
-                i = end
-                continue
-            if seps and all(s == "::" for s in seps):
-                i = j
-                continue
-            refs.append(chain[0])
-            i = j
-            continue
-        i += 1
-    return refs, calls
+def _calls(seg):
+    """A statement's calls from the shared expression parser, nested
+    argument calls first (evaluation order)."""
+    out = []
+
+    def flatten(calls):
+        for c in calls:
+            for a in c.args:
+                flatten(a.calls)
+            out.append(CallSite(line=c.line, chain=c.chain,
+                                explicit=c.explicit, recv=c.recv,
+                                recv_path=c.recv_path, nargs=len(c.args),
+                                arg_refs=[r for a in c.args for r in a.refs]))
+    flatten(parse_expr(seg)[1])
+    return out
 
 
 # ---- lambda lifting -------------------------------------------------------
 
-def _lift_lambdas(toks, owner_qname, owner_cls, owner_locals, sink, counter):
+def _lift_lambdas(toks, owner_qname, sink, counter):
     """Replaces every lambda literal in `toks` with a placeholder ident and
     appends (qname, param_toks, body_toks, line) records to `sink`.
     Nested lambdas are lifted recursively.  Returns the rewritten tokens."""
@@ -389,11 +237,11 @@ def _lift_lambdas(toks, owner_qname, owner_cls, owner_locals, sink, counter):
             # `[[` attribute or indexing (`x[i]`) are not lambdas.
             nxt = toks[i + 1][0] if i + 1 < n else None
             if prev in _LAMBDA_PREV and nxt != "[":
-                close = _match_forward(toks, i, "[", "]")
+                close = match_forward(toks, i, "[", "]")
                 k = close
                 param_toks = []
                 if k < n and toks[k][0] == "(":
-                    pend = _match_forward(toks, k, "(", ")")
+                    pend = match_forward(toks, k, "(", ")")
                     param_toks = toks[k + 1:pend - 1]
                     k = pend
                 # specifiers / trailing return up to the body brace
@@ -404,13 +252,12 @@ def _lift_lambdas(toks, owner_qname, owner_cls, owner_locals, sink, counter):
                         break
                     k += 1
                 if ok and k < n and toks[k][0] == "{":
-                    bend = _match_forward(toks, k, "{", "}")
+                    bend = match_forward(toks, k, "{", "}")
                     body = toks[k + 1:bend - 1]
                     idx = counter[0]
                     counter[0] += 1
                     qn = f"{owner_qname}::$lambda{idx}"
-                    body = _lift_lambdas(body, owner_qname, owner_cls,
-                                         owner_locals, sink, counter)
+                    body = _lift_lambdas(body, owner_qname, sink, counter)
                     sink.append((qn, param_toks, body, line))
                     out.append((f"__GLOBE_LAMBDA__{qn}__", line))
                     i = bend
@@ -429,22 +276,22 @@ def _guard_decl(seg):
     """Matches `[util::]GuardType var(lockexpr);` -> (kind, var, chain, line)
     or None."""
     idents = [(i, tk[0]) for i, tk in enumerate(seg)
-              if re.match(r"[A-Za-z_]", tk[0])]
+              if is_ident(tk[0])]
     for i, name in idents:
         if name in GUARD_KINDS:
             # must be the type position: next ident is the variable
             j = i + 1
             if j < len(seg) and seg[j][0] == "<":   # UniqueLock<...>? no
-                j = _match_forward(seg, j, "<", ">")
-            if j < len(seg) and re.match(r"[A-Za-z_]", seg[j][0]) \
-                    and seg[j][0] not in _KEYWORDS:
+                j = match_forward(seg, j, "<", ">")
+            if j < len(seg) and is_ident(seg[j][0]) \
+                    and seg[j][0] not in KEYWORDS:
                 var = seg[j][0]
                 k = j + 1
                 if k < len(seg) and seg[k][0] in ("(", "{"):
                     close_t = ")" if seg[k][0] == "(" else "}"
-                    end = _match_forward(seg, k, seg[k][0], close_t)
+                    end = match_forward(seg, k, seg[k][0], close_t)
                     inner = seg[k + 1:end - 1]
-                    parts = _split_top(inner)
+                    parts = split_top(inner)
                     chain = _chain_of(parts[0]) if parts else ()
                     return (GUARD_KINDS[name], var, chain, seg[i][1])
         break_names = ("return", "if", "while", "for")
@@ -472,12 +319,12 @@ def _stmt_events(seg, scopes, events, local_types):
         events.append(Ev("acq", line=line, var=var, lock=chain, guard=kind))
         scopes[-1].append(var)
         return
-    # local declarations worth typing: `Type name(...)` / `Type name = ...`
-    refs, calls = _parse_expr(seg)
+    calls = _calls(seg)
+    # local declarations worth typing: `Type name(...)` / `Type name = ...`;
     # remember `Foo x` declarations for receiver typing (cheap heuristic:
     # two leading idents, first uppercase-ish type name)
-    lead = [tk[0] for tk in seg[:6] if re.match(r"[A-Za-z_]", tk[0])
-            and tk[0] not in _KEYWORDS and tk[0] not in _NOISE_IDENTS]
+    lead = [tk[0] for tk in seg[:6] if is_ident(tk[0])
+            and tk[0] not in KEYWORDS and not is_macro(tk[0])]
     # the type may be namespace-qualified (`rpc::RpcClient replica(...)`):
     # take the first uppercase-ish token as the type, the next as the name
     for li in range(min(2, max(0, len(lead) - 1))):
@@ -535,13 +382,13 @@ def _build_body(toks, local_types):
             seg = []
         elif t == "{" and pdepth == 0:
             heads = [tk[0] for tk in seg]
-            if not seg or heads[0] in _CONTROL:
+            if not seg or heads[0] in CONTROL:
                 _stmt_events(seg, scopes, events, local_types)
                 seg = []
                 scopes.append([])
             else:
                 # init-list brace: swallow into current statement
-                end = _match_forward(toks, i, "{", "}")
+                end = match_forward(toks, i, "{", "}")
                 seg.extend(toks[i + 1:end - 1])
                 i = end
                 continue
@@ -566,11 +413,11 @@ def _build_body(toks, local_types):
 def _parse_params_lite(ptoks):
     """Parameter list tokens -> ([name], {name: type_basename})."""
     names, types = [], {}
-    for part in _split_top(ptoks):
-        idents = [tk[0] for tk in part if re.match(r"[A-Za-z_]", tk[0])
+    for part in split_top(ptoks):
+        idents = [tk[0] for tk in part if is_ident(tk[0])
                   and tk[0] not in ("const", "struct", "typename", "volatile",
                                     "util", "globe", "std")
-                  and tk[0] not in _NOISE_IDENTS]
+                  and not is_macro(tk[0])]
         if not idents:
             continue
         if len(idents) >= 2:
@@ -581,298 +428,69 @@ def _parse_params_lite(ptoks):
     return names, types
 
 
+def _requires(quals):
+    """GLOBE_REQUIRES(...) lock chains in a declarator's qualifier zone."""
+    out = set()
+    for k, (q, _line) in enumerate(quals):
+        if q == "GLOBE_REQUIRES" and k + 1 < len(quals) \
+                and quals[k + 1][0] == "(":
+            mend = match_forward(quals, k + 1, "(", ")")
+            for part in split_top(quals[k + 2:mend - 1]):
+                ch = _chain_of(part)
+                if ch:
+                    out.add(ch)
+    return out
+
+
+def _event_func(qname, relpath, line, cls, ptoks, body, lifted=None):
+    """A Func with event IR.  Unless `lifted` is None, lambdas in `body`
+    are lifted out of it into `lifted` first."""
+    f = Func(qname=qname, file=relpath, line=line, cls=cls)
+    f.params, types = _parse_params_lite(ptoks)
+    f.local_types.update(types)
+    if body is not None:
+        if lifted is not None:
+            body = _lift_lambdas(body, qname, lifted, [0])
+        f.events = _build_body(body, f.local_types)
+        f.has_body = True
+    return f
+
+
 def parse_file_lite(path: str, prog: Program):
-    text = _strip_comments(open(path, encoding="utf-8",
-                                errors="replace").read())
+    text = strip_comments(open(path, encoding="utf-8",
+                               errors="replace").read())
     relpath = os.path.relpath(path, REPO)
-    toks = _tokenize(text)
-    scopes = []
-    pending = []
-    i, n = 0, len(toks)
-
-    def qname(parts):
-        names = [s[1] for s in scopes if s[0] in ("ns", "class") and s[1]]
-        return "::".join(names + parts)
-
-    def cur_class():
-        for s in reversed(scopes):
-            if s[0] == "class":
-                return s[1]
-        return None
-
-    def add_lambda_funcs(lifted, owner_cls):
+    for d in scan_declarations(tokenize(text)):
+        lifted = []
+        f = _event_func(d.qname, relpath, d.line, d.cls, d.params, d.body,
+                        lifted)
+        f.requires = _requires(d.quals)
+        if any(prog.annot_of(t) for t, _line in d.head + d.quals):
+            f.annots.add(ANNOT_BLOCKING)
+        prog.add(f)
         for qn, ptoks, btoks, lline in lifted:
-            lf = Func(qname=qn, file=relpath, line=lline, cls=owner_cls)
-            names, types = _parse_params_lite(ptoks)
-            lf.params = names
-            lf.local_types.update(types)
-            lf.events = _build_body(btoks, lf.local_types)
-            lf.has_body = True
-            prog.add(lf)
-
-    while i < n:
-        t, line = toks[i]
-        if t == "namespace":
-            j = i + 1
-            names = []
-            while j < n and toks[j][0] not in ("{", ";", "="):
-                if re.match(r"[A-Za-z_]", toks[j][0]):
-                    names.append(toks[j][0])
-                j += 1
-            if j < n and toks[j][0] == "{":
-                scopes.append(("ns", "::".join(names)))
-            i = j + 1
-            pending = []
-            continue
-        if t in ("class", "struct") and not (pending and pending[-1][0] == "enum"):
-            j = i + 1
-            name = None
-            while j < n and toks[j][0] not in ("{", ";"):
-                if re.match(r"[A-Za-z_]", toks[j][0]) and name is None \
-                        and toks[j][0] not in _NOISE_IDENTS:
-                    name = toks[j][0]
-                if toks[j][0] == "(":
-                    break
-                j += 1
-            if j < n and toks[j][0] == "{" and name:
-                scopes.append(("class", name))
-                i = j + 1
-                pending = []
-                continue
-            pending.append(toks[i])
-            i += 1
-            continue
-        if t == "template":
-            if i + 1 < n and toks[i + 1][0] == "<":
-                d = 0
-                j = i + 1
-                while j < n:
-                    if toks[j][0] == "<":
-                        d += 1
-                    elif toks[j][0] == ">":
-                        d -= 1
-                        if d == 0:
-                            break
-                    j += 1
-                i = j + 1
-                continue
-        if t == "{":
-            i = _match_forward(toks, i, "{", "}")
-            pending = []
-            continue
-        if t == "}":
-            if scopes:
-                scopes.pop()
-            if i + 1 < n and toks[i + 1][0] == ";":
-                i += 1
-            i += 1
-            pending = []
-            continue
-        if t == ";":
-            pending = []
-            i += 1
-            continue
-        if t == "(" and pending:
-            name_parts = []
-            j = len(pending) - 1
-            if re.match(r"[A-Za-z_]", pending[j][0]) \
-                    and pending[j][0] not in _KEYWORDS - {"operator"}:
-                name_parts.append(pending[j][0])
-                j -= 1
-                while j >= 1 and pending[j][0] == "::" \
-                        and re.match(r"[A-Za-z_]", pending[j - 1][0]):
-                    name_parts.append(pending[j - 1][0])
-                    j -= 2
-            name_parts.reverse()
-            is_dtor = j >= 0 and pending[j][0] == "~"
-            is_op = "operator" in [p[0] for p in pending[max(0, j - 1):]]
-            if not name_parts or is_op or name_parts[-1] in _NOISE_IDENTS:
-                i = _match_forward(toks, i, "(", ")")
-                continue
-            close = _match_forward(toks, i, "(", ")")
-            ptoks = toks[i + 1:close - 1]
-            # qualifier zone: find ';' (decl) or '{' (def); harvest
-            # GLOBE_REQUIRES arguments along the way.
-            k = close
-            kind = None
-            requires = set()
-            while k < n:
-                q = toks[k][0]
-                if q == ";":
-                    kind = "decl"
-                    break
-                if q == "{":
-                    kind = "def"
-                    break
-                if q == "=":
-                    kind = "decl"
-                    while k < n and toks[k][0] != ";":
-                        k += 1
-                    break
-                if q == ":":
-                    k += 1
-                    while k < n:
-                        qq = toks[k][0]
-                        if qq == "(":
-                            k = _match_forward(toks, k, "(", ")")
-                            continue
-                        if qq == "{":
-                            if toks[k - 1][0] in (")", "}"):
-                                break
-                            k = _match_forward(toks, k, "{", "}")
-                            continue
-                        if qq == ";":
-                            break
-                        k += 1
-                    kind = "def" if k < n and toks[k][0] == "{" else "decl"
-                    break
-                if q in _QUAL_MACROS and k + 1 < n and toks[k + 1][0] == "(":
-                    mend = _match_forward(toks, k + 1, "(", ")")
-                    if q == "GLOBE_REQUIRES":
-                        for part in _split_top(toks[k + 2:mend - 1]):
-                            ch = _chain_of(part)
-                            if ch:
-                                requires.add(ch)
-                    k = mend
-                    continue
-                if q == "(":
-                    kind = "skip"
-                    break
-                k += 1
-            if kind is None or is_dtor:
-                kind = "skip"
-            if kind == "skip":
-                i = close
-                continue
-            f = Func(file=relpath, line=line)
-            f.requires = requires
-            ann_toks = [p[0] for p in pending] + \
-                       [toks[m][0] for m in range(close, min(k, n))]
-            if "GLOBE_BLOCKING" in ann_toks:
-                f.annots.add(ANNOT_BLOCKING)
-            names, types = _parse_params_lite(ptoks)
-            f.params = names
-            f.local_types.update(types)
-            cls = cur_class()
-            parts = name_parts[:]
-            f.qname = qname(parts)
-            f.cls = cls if cls else (parts[-2] if len(parts) >= 2 else None)
-            if kind == "def":
-                body_start = k
-                body_end = _match_forward(toks, body_start, "{", "}")
-                body = toks[body_start + 1:body_end - 1]
-                lifted = []
-                body = _lift_lambdas(body, f.qname, f.cls, f.local_types,
-                                     lifted, [0])
-                f.events = _build_body(body, f.local_types)
-                f.has_body = True
-                prog.add(f)
-                add_lambda_funcs(lifted, f.cls)
-                i = body_end
-            else:
-                prog.add(f)
-                i = k + 1
-            pending = []
-            continue
-        pending.append(toks[i])
-        i += 1
-
+            prog.add(_event_func(qn, relpath, lline, f.cls, ptoks, btoks))
     _harvest_fields(text, prog)
-    _harvest_mutexes(text, relpath, prog)
+    prog.harvest_mutexes(text, relpath)
 
 
+# Narrower than cxxscan.lite.FIELD_RE (no nested template arguments), kept
+# apart because typing `std::set<std::array<...>>` members changes conc edges.
 _FIELD_RE = re.compile(
     r"^\s*(?:mutable\s+)?(?:const\s+)?([A-Za-z_][\w:]*(?:<[^;<>{}]*>)?)"
     r"[&*\s]+([A-Za-z_]\w*_?)\s*(?:GLOBE_(?:PT_)?GUARDED_BY\([^)]*\))?"
     r"\s*(?:=[^;]*|\{[^;]*\})?;",
     re.MULTILINE,
 )
-_CLASS_RE = re.compile(r"\b(?:class|struct)\s+(?:GLOBE_\w+(?:\([^)]*\))?\s+)?"
-                       r"([A-Za-z_]\w*)[^;{()]*\{")
-
-
-def _class_bodies(text):
-    spans = []
-    for cm in _CLASS_RE.finditer(text):
-        cls = cm.group(1)
-        depth = 0
-        j = cm.end() - 1
-        start = j
-        while j < len(text):
-            if text[j] == "{":
-                depth += 1
-            elif text[j] == "}":
-                depth -= 1
-                if depth == 0:
-                    break
-            j += 1
-        spans.append((cls, start, j))
-    for cls, start, end in spans:
-        body = text[start:end]
-        # Mask nested class/struct bodies so their members attribute to the
-        # inner class only (SimNet's nested HostState must not re-register
-        # HostState's lock under SimNet).
-        for _c2, s2, e2 in spans:
-            if start < s2 and e2 <= end:
-                a, b = s2 - start, min(e2 - start, len(body))
-                body = body[:a] + " " * (b - a) + body[b:]
-        yield cls, body, start
 
 
 def _harvest_fields(text: str, prog: Program):
-    for cls, body, _off in _class_bodies(text):
+    for cls, body, _off in class_bodies(text):
         table = prog.fields.setdefault(cls, {})
         for fm in _FIELD_RE.finditer(body):
-            raw = fm.group(1)
-            ftype = raw.split("<")[0].split("::")[-1]
-            # unwrap smart pointers / optional to the pointee type, so a
-            # `std::unique_ptr<GlobeDocProxy> proxy_` receiver resolves.
-            if ftype in ("unique_ptr", "shared_ptr", "optional") and "<" in raw:
-                inner = raw.split("<", 1)[1].rsplit(">", 1)[0]
-                ftype = inner.split("<")[0].split("::")[-1].strip("& *")
-            if ftype in ("return", "using", "typedef"):
-                continue
-            table.setdefault(fm.group(2), ftype)
-
-
-_MUTEX_FIELD_RE = re.compile(
-    r"^\s*(?:mutable\s+)?(?:globe::)?(?:util::)?(Mutex|RecursiveMutex)\s+"
-    r"([A-Za-z_]\w*)\s*(?:GLOBE_\w+(?:\([^)]*\))?\s*)*;",
-    re.MULTILINE,
-)
-_MUTEX_PTR_RE = re.compile(
-    r"^\s*(?:mutable\s+)?std::unique_ptr<\s*(?:globe::)?(?:util::)?"
-    r"(Mutex|RecursiveMutex)\s*>\s+([A-Za-z_]\w*)\s*"
-    r"(?:GLOBE_\w+(?:\([^)]*\))?\s*)*(?:=[^;]*|\{[^;]*\})?;",
-    re.MULTILINE,
-)
-
-
-def _harvest_mutexes(text: str, relpath: str, prog: Program):
-    subsys = subsys_of(relpath)
-    for cls, body, off in _class_bodies(text):
-        for rx, kindmap in ((_MUTEX_FIELD_RE, MUTEX_TYPES),
-                            (_MUTEX_PTR_RE, MUTEX_TYPES)):
-            for fm in rx.finditer(body):
-                line = text.count("\n", 0, off + fm.start()) + 1
-                prog.register_mutex(subsys, cls, fm.group(2),
-                                    kindmap[fm.group(1)], relpath, line)
-
-
-def collect_sources(root):
-    out = []
-    for base, _dirs, files in os.walk(root):
-        for fn in sorted(files):
-            if fn.endswith((".hpp", ".cpp", ".h", ".cc")):
-                out.append(os.path.join(base, fn))
-    return out
-
-
-def build_program_lite(paths) -> Program:
-    prog = Program()
-    for p in paths:
-        parse_file_lite(p, prog)
-    return prog
+            ftype = unwrap(fm.group(1))
+            if ftype not in ("return", "using", "typedef"):
+                table.setdefault(fm.group(2), ftype)
 
 
 # --------------------------------------------------------------------------
@@ -912,34 +530,6 @@ def _requires_at(abspath, line):
 
 def _clang_walk_tu(tu, prog: Program, in_scope, ci):
     """Walks one TU, adding in-scope functions (with event IR) and fields."""
-
-    def qualified(cursor):
-        parts = []
-        c = cursor
-        while c is not None and c.kind != ci.CursorKind.TRANSLATION_UNIT:
-            if c.spelling:
-                parts.append(c.spelling)
-            c = c.semantic_parent
-        return "::".join(reversed(parts))
-
-    def annots_of(cursor):
-        out = set()
-        for ch in cursor.get_children():
-            if ch.kind == ci.CursorKind.ANNOTATE_ATTR:
-                a = CLANG_ANNOTATION_OF.get(ch.spelling)
-                if a:
-                    out.add(a)
-        return out
-
-    def type_base(tspell):
-        return tspell.split("<")[0].split("::")[-1].strip("& *")
-
-    def unwrap(tspell):
-        base = type_base(tspell)
-        if base in ("unique_ptr", "shared_ptr", "optional") and "<" in tspell:
-            inner = tspell.split("<", 1)[1].rsplit(">", 1)[0]
-            return type_base(inner)
-        return base
 
     def mutex_field(cursor):
         """referenced FIELD_DECL that is a util Mutex -> ('::', cls, member)
@@ -1025,7 +615,7 @@ def _clang_walk_tu(tu, prog: Program, in_scope, ci):
         if children and (not args or not children[0] == args[0]):
             collect_refs(children[0], base_refs)
         if ref is not None and ref.spelling:
-            cs.chain = qualified(ref).split("::")
+            cs.chain = qualified(ref, ci).split("::")
             cs.explicit = True
         else:
             cs.chain = [name or "?"]
@@ -1120,7 +710,7 @@ def _clang_walk_tu(tu, prog: Program, in_scope, ci):
 
     for cur in tu.cursor.walk_preorder():
         if cur.kind == ci.CursorKind.FIELD_DECL:
-            floc = cur.location.file.name if cur.location.file else None
+            floc = file_of(cur)
             if not in_scope(floc):
                 continue
             cls = cur.semantic_parent.spelling
@@ -1139,13 +729,13 @@ def _clang_walk_tu(tu, prog: Program, in_scope, ci):
                             ci.CursorKind.CONSTRUCTOR,
                             ci.CursorKind.FUNCTION_TEMPLATE):
             continue
-        floc = cur.location.file.name if cur.location.file else None
+        floc = file_of(cur)
         if not in_scope(floc):
             continue
-        qn = qualified(cur)
+        qn = qualified(cur, ci)
         rel = os.path.relpath(floc, REPO)
         f = Func(qname=qn, file=rel, line=cur.location.line)
-        f.annots = annots_of(cur)
+        f.annots = annots_of(cur, prog, ci)
         f.requires = _requires_at(floc, cur.location.line)
         sp = cur.semantic_parent
         if sp is not None and sp.kind in (ci.CursorKind.CLASS_DECL,
@@ -1170,69 +760,15 @@ def _clang_walk_tu(tu, prog: Program, in_scope, ci):
         prog.add(f)
 
 
-def build_program_clang(paths, compile_commands_dir) -> Program:
-    import clang.cindex as ci  # noqa: imported lazily; CI installs libclang
-
-    prog = Program()
-    index = ci.Index.create()
-    try:
-        cdb = ci.CompilationDatabase.fromDirectory(compile_commands_dir)
-    except ci.CompilationDatabaseError:
-        raise RuntimeError(
-            f"no compile_commands.json under {compile_commands_dir} "
-            "(configure with -DCMAKE_EXPORT_COMPILE_COMMANDS=ON)")
-
-    wanted = {os.path.abspath(p) for p in paths}
-    wanted_dirs = {p for p in wanted if os.path.isdir(p)}
-
-    def in_scope(fname):
-        if not fname:
-            return False
-        f = os.path.abspath(fname)
-        return f in wanted or any(f.startswith(d + os.sep)
-                                  for d in wanted_dirs)
-
-    seen_tus = set()
-    for cmd in cdb.getAllCompileCommands():
-        src = os.path.join(cmd.directory, cmd.filename) \
-            if not os.path.isabs(cmd.filename) else cmd.filename
-        src = os.path.normpath(src)
-        if src in seen_tus:
-            continue
-        seen_tus.add(src)
-        cargs = [a for a in list(cmd.arguments)[1:]
-                 if a not in ("-c", "-o", cmd.filename)
-                 and not a.endswith(".o")]
-        try:
-            tu = index.parse(src, args=cargs)
-        except ci.TranslationUnitLoadError:
-            continue
-        _clang_walk_tu(tu, prog, in_scope, ci)
-    return prog
-
-
-def build_program_clang_single(path, include_dirs) -> Program:
-    """Parses one standalone TU (fixture self-test mode)."""
-    import clang.cindex as ci
-
-    prog = Program()
-    index = ci.Index.create()
-    args = ["-std=c++20", "-x", "c++"]
-    for d in include_dirs:
-        args += ["-I", d]
-    tu = index.parse(path, args=args)
-    target = os.path.abspath(path)
-
-    def in_scope(fname):
-        return fname and os.path.abspath(fname) == target
-
-    _clang_walk_tu(tu, prog, in_scope, ci)
-    # mutex registry + field fallback come from the same raw scan the lite
-    # frontend uses, so lock ids agree between frontends.
-    text = _strip_comments(open(path, encoding="utf-8",
-                                errors="replace").read())
-    rel = os.path.relpath(path, REPO)
-    _harvest_mutexes(text, rel, prog)
+def _clang_single(path, include_dirs):
+    """Fixture TU under clang.  The mutex registry and member types also
+    come from the raw scan the lite frontend uses, so lock ids agree
+    between frontends."""
+    prog = clang_frontend.build_program_clang_single(
+        path, include_dirs, Program(), _clang_walk_tu)
+    text = strip_comments(open(path, encoding="utf-8",
+                               errors="replace").read())
+    prog.harvest_mutexes(text, os.path.relpath(path, REPO))
     _harvest_fields(text, prog)
     return prog
 
@@ -1257,10 +793,9 @@ class Finding:
 
 
 class Analyzer:
-    def __init__(self, prog: Program, hier: dict, verbose=False):
+    def __init__(self, prog: Program, hier: dict):
         self.prog = prog
         self.hier = hier
-        self.verbose = verbose
         self.sum: dict[str, CSummary] = {}
         self.findings: list[Finding] = []
         self.edges: dict = {}   # (H, L) -> (func, file, line, chain)
@@ -1305,7 +840,7 @@ class Analyzer:
             if matches:
                 return self.prog.funcs[matches[0]]
         if cs.recv is not None:
-            rtype = self._recv_type(cs, f)
+            rtype = self.prog.recv_type(cs, f)
             if rtype:
                 matches = [q for q in cands
                            if q.endswith(f"::{rtype}::{name}")
@@ -1349,18 +884,6 @@ class Analyzer:
         if cs.recv is not None and cand.cls is None:
             return False
         return True
-
-    def _recv_type(self, cs: CallSite, f: Func):
-        if not cs.recv_path:
-            return None
-        t = f.local_types.get(cs.recv_path[0])
-        if t is None and f.cls:
-            t = self.prog.fields.get(f.cls, {}).get(cs.recv_path[0])
-        for fieldname in cs.recv_path[1:]:
-            if t is None:
-                return None
-            t = self.prog.fields.get(t, {}).get(fieldname)
-        return t
 
     def resolve_lock(self, lockref, f: Func):
         """Lock expression -> lockid or None."""
@@ -1411,16 +934,7 @@ class Analyzer:
                 if self._analyze_function(f):
                     changed = True
         self._find_cycles()
-        self._dedupe()
-
-    def _dedupe(self):
-        seen = set()
-        uniq = []
-        for fd in self.findings:
-            if fd.key not in seen:
-                seen.add(fd.key)
-                uniq.append(fd)
-        self.findings = uniq
+        self.findings = dedupe(self.findings)
 
     def _is_recursive(self, lid, guard_kind=""):
         if guard_kind == "guard_rec":
@@ -1642,25 +1156,6 @@ def load_hierarchy(path):
         ranks[parts[1]] = rank
     return ranks
 
-
-def load_baseline(path):
-    """Lines: `<finding key>  # justification` (justification required)."""
-    entries = {}
-    if not os.path.exists(path):
-        return entries
-    for lineno, raw in enumerate(open(path, encoding="utf-8"), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "#" not in line:
-            raise SystemExit(
-                f"{path}:{lineno}: baseline entry lacks a justification "
-                "comment — every suppression must say why")
-        key = line.split("#", 1)[0].strip()
-        entries[key] = {"line": lineno, "used": False}
-    return entries
-
-
 _HEADLINE = {
     "order":    "CONC: lock acquisition violates the declared hierarchy",
     "unranked": "CONC: lock acquisition edge touches an unranked mutex",
@@ -1680,76 +1175,32 @@ def render(fd: Finding) -> str:
 
 
 # --------------------------------------------------------------------------
-# Drivers
+# Command line
 # --------------------------------------------------------------------------
 
-def build_program(paths, frontend, cc_dir):
-    if frontend in ("clang", "auto"):
-        try:
-            return build_program_clang(paths, cc_dir), "clang"
-        except ImportError:
-            if frontend == "clang":
-                raise SystemExit(
-                    "frontend 'clang' requested but python libclang is not "
-                    "importable (pip install libclang); use --frontend lite")
-            print("[conc] libclang unavailable; using lite frontend",
-                  file=sys.stderr)
-        except RuntimeError as e:
-            if frontend == "clang":
-                raise SystemExit(f"clang frontend failed: {e}")
-            print(f"[conc] clang frontend failed ({e}); using lite frontend",
-                  file=sys.stderr)
-    files = []
-    for p in paths:
-        if os.path.isdir(p):
-            files.extend(collect_sources(p))
-        else:
-            files.append(p)
-    return build_program_lite(files), "lite"
+def build_program(args):
+    return cli.build_program(args, "conc", Program, parse_file_lite,
+                                _clang_walk_tu)
 
 
-def analyze(paths, frontend, cc_dir, hier, verbose=False):
-    prog, used = build_program(paths, frontend, cc_dir)
-    an = Analyzer(prog, hier, verbose=verbose)
+def analyze(args):
+    hier = load_hierarchy(args.hierarchy)
+    prog, used = build_program(args)
+    an = Analyzer(prog, hier)
     an.run()
     return an, used
 
 
-def _stats_line(an: Analyzer, used, new, suppressed):
-    n_block = sum(1 for q, s in an.sum.items() if s.blocks)
-    ranked = sum(1 for lid in an.prog.mutexes if lid in an.hier)
-    return (f"[conc] frontend={used} functions={len(an.prog.funcs)} "
-            f"mutexes={len(an.prog.mutexes)} ranked={ranked} "
-            f"edges={len(an.edges)} blocking_fns={n_block} "
-            f"findings={len(an.findings)} suppressed={suppressed} "
-            f"new={len(new)}")
-
-
 def run_tree(args):
-    paths = args.paths or [os.path.join(REPO, "src")]
-    hier = load_hierarchy(args.hierarchy)
-    an, used = analyze(paths, args.frontend, args.compile_commands, hier,
-                       args.verbose)
-    baseline = load_baseline(args.baseline)
-    new = []
-    for fd in an.findings:
-        ent = baseline.get(fd.key)
-        if ent is not None:
-            ent["used"] = True
-        else:
-            new.append(fd)
-    rc = 0
-    for fd in new:
-        print(render(fd))
-        print()
-        rc = 1
-    stale = [k for k, e in baseline.items() if not e["used"]]
-    for k in stale:
-        print(f"STALE BASELINE: `{k}` no longer matches any finding — "
-              f"remove it from {os.path.relpath(args.baseline, REPO)}")
-        if args.strict_baseline:
-            rc = 1
-    print(_stats_line(an, used, new, len(an.findings) - len(new)))
+    an, used = analyze(args)
+    new, rc = cli.report(an.findings, args, render)
+    n_block = sum(1 for s in an.sum.values() if s.blocks)
+    ranked = sum(1 for lid in an.prog.mutexes if lid in an.hier)
+    print(f"[conc] frontend={used} functions={len(an.prog.funcs)} "
+          f"mutexes={len(an.prog.mutexes)} ranked={ranked} "
+          f"edges={len(an.edges)} blocking_fns={n_block} "
+          f"findings={len(an.findings)} "
+          f"suppressed={len(an.findings) - len(new)} new={len(new)}")
     if rc == 0:
         print("[conc] OK: lock order respects the declared hierarchy and "
               "no lock is held across a blocking call (modulo justified "
@@ -1758,10 +1209,7 @@ def run_tree(args):
 
 
 def run_edges(args):
-    paths = args.paths or [os.path.join(REPO, "src")]
-    hier = load_hierarchy(args.hierarchy)
-    an, used = analyze(paths, args.frontend, args.compile_commands, hier,
-                       args.verbose)
+    an, used = analyze(args)
     print(f"# lock-acquisition edges ({used} frontend); "
           "H -> L means L acquired while H held")
     for (H, L), (fn, fl, ln, _via) in sorted(an.edges.items()):
@@ -1772,22 +1220,15 @@ def run_edges(args):
     print()
     print("# functions that may block (transitively)")
     for q in sorted(an.sum):
-        s = an.sum[q]
-        if s.blocks and self_has_body(an.prog, q):
-            sinks = ", ".join(sorted(s.blocks)[:4])
-            print(f"{q}: {sinks}")
+        f = an.prog.funcs.get(q)
+        if an.sum[q].blocks and f and (f.has_body or f.annots):
+            print(f"{q}: {', '.join(sorted(an.sum[q].blocks)[:4])}")
     return 0
 
 
-def self_has_body(prog, q):
-    f = prog.funcs.get(q)
-    return bool(f and (f.has_body or f.annots))
-
-
 def run_list(args):
-    paths = args.paths or [os.path.join(REPO, "src")]
     hier = load_hierarchy(args.hierarchy)
-    prog, used = build_program(paths, args.frontend, args.compile_commands)
+    prog, used = build_program(args)
     print(f"# mutex registry ({used} frontend)")
     for lid in sorted(prog.mutexes):
         info = prog.mutexes[lid]
@@ -1803,111 +1244,39 @@ def run_list(args):
     return 0
 
 
-# --------------------------------------------------------------------------
-# Self-test (fixture corpus)
-# --------------------------------------------------------------------------
-
 EXPECT_RE = re.compile(
     r"//\s*CONC-EXPECT:\s*(clean|flag\s+kind=(\S+)(?:\s+detail=(\S+))?)")
 HIER_RE = re.compile(r"//\s*CONC-HIERARCHY:\s*(-?\d+)\s+(\S+)")
 
 
 def run_self_test(args):
-    fixture_dir = os.path.join(REPO, "tests", "conc", "fixtures")
-    if not os.path.isdir(fixture_dir):
-        print(f"no fixture directory at {fixture_dir}", file=sys.stderr)
-        return 2
-    use_clang = args.frontend == "clang"
-    if use_clang:
-        try:
-            import clang.cindex  # noqa: F401
-        except ImportError:
-            print("frontend 'clang' requested for self-test but libclang "
-                  "is unavailable", file=sys.stderr)
-            return 2
-    fixtures = sorted(f for f in os.listdir(fixture_dir) if f.endswith(".cpp"))
-    failures = []
-    for fx in fixtures:
-        path = os.path.join(fixture_dir, fx)
-        raw = open(path, encoding="utf-8").read()
-        expects = EXPECT_RE.findall(raw)
-        if not expects:
-            failures.append(f"{fx}: no CONC-EXPECT comment")
-            continue
-        hier = {}
-        for rank, lid in HIER_RE.findall(raw):
-            hier[lid] = int(rank)
+    def build(path, use_clang):
         if use_clang:
-            try:
-                prog = build_program_clang_single(path, [fixture_dir])
-            except Exception as e:  # noqa: BLE001 - report as test failure
-                failures.append(f"{fx}: clang parse failed: {e}")
-                continue
-        else:
-            prog = build_program_lite([path])
-        an = Analyzer(prog, hier)
+            return _clang_single(path, [os.path.dirname(path)])
+        return cli.build_program_lite([path], Program(), parse_file_lite)
+
+    def analyze_fixture(prog, raw):
+        an = Analyzer(prog, {lid: int(rank)
+                             for rank, lid in HIER_RE.findall(raw)})
         an.run()
-        want_clean = any(e[0] == "clean" for e in expects)
-        flags = [e for e in expects if e[0].startswith("flag")]
-        if want_clean and an.findings:
-            failures.append(
-                f"{fx}: expected clean, got {len(an.findings)} finding(s):\n"
-                + "\n".join("    " + f.key for f in an.findings))
-            continue
-        if not want_clean:
-            unmatched = []
-            for _e, kind, detail in flags:
-                ok = any(fd.kind == kind and (not detail or detail in fd.key)
-                         for fd in an.findings)
-                if not ok:
-                    unmatched.append(f"kind={kind} detail={detail}")
-            extra = [fd for fd in an.findings
-                     if not any(fd.kind == kind and
-                                (not detail or detail in fd.key)
-                                for _e, kind, detail in flags)]
-            if unmatched:
-                failures.append(
-                    f"{fx}: expected finding not produced: "
-                    f"{'; '.join(unmatched)}\n    got: "
-                    + ("; ".join(fd.key for fd in an.findings) or "nothing"))
-            if extra:
-                failures.append(
-                    f"{fx}: unexpected finding(s): "
-                    + "; ".join(fd.key for fd in extra))
-    frontend = "clang" if use_clang else "lite"
-    print(f"[conc] self-test ({frontend}): {len(fixtures)} fixtures, "
-          f"{len(failures)} failure(s)")
-    for msg in failures:
-        print("  FAIL " + msg)
-    if len(fixtures) < 15:
-        print(f"  FAIL corpus too small: {len(fixtures)} fixtures (< 15)")
-        return 1
-    return 1 if failures else 0
+        return an.findings
+
+    return cli.run_fixtures(
+        "conc", os.path.join(REPO, "tests", "conc", "fixtures"), EXPECT_RE,
+        args.frontend, build, analyze_fixture,
+        lambda fd, e: fd.kind == e[1] and (not e[2] or e[2] in fd.key))
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("paths", nargs="*", help="files/dirs (default: src/)")
-    ap.add_argument("--frontend", choices=("auto", "clang", "lite"),
-                    default="auto")
-    ap.add_argument("--compile-commands", default=os.path.join(REPO, "build"),
-                    help="directory containing compile_commands.json")
+    ap = cli.arg_parser(__doc__, "conc_baseline.txt")
     ap.add_argument("--hierarchy",
                     default=os.path.join(REPO, "tools", "lock_hierarchy.txt"))
-    ap.add_argument("--baseline",
-                    default=os.path.join(REPO, "tools", "conc_baseline.txt"))
-    ap.add_argument("--strict-baseline", action="store_true",
-                    help="stale baseline entries are errors")
-    ap.add_argument("--self-test", action="store_true")
     ap.add_argument("--edges", action="store_true",
                     help="dump the lock-acquisition graph and blockers")
     ap.add_argument("--list", action="store_true",
                     help="dump mutex registry and blocking functions")
-    ap.add_argument("--verbose", action="store_true")
     args = ap.parse_args()
     if args.self_test:
-        if args.frontend == "auto":
-            args.frontend = "lite"
         sys.exit(run_self_test(args))
     if args.list:
         sys.exit(run_list(args))

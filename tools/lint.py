@@ -364,11 +364,12 @@ LOCK_HIERARCHY = "tools/lock_hierarchy.txt"
 
 def check_lock_hierarchy(violations: list[str]) -> None:
     """Every mutex member in src/ must be ranked in the lock hierarchy."""
-    # Reuse conc_check's scanner (same directory) so lint and the analyzer
+    # Reuse the analyzers' scanner (tools/cxxscan) so lint and conc_check
     # agree, byte for byte, on what a mutex member and its lock id are.
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
     try:
         import conc_check
+        import cxxscan
     finally:
         sys.path.pop(0)
     ranks = conc_check.load_hierarchy(str(REPO / LOCK_HIERARCHY))
@@ -376,14 +377,16 @@ def check_lock_hierarchy(violations: list[str]) -> None:
         rel = relpath(path)
         if not rel.startswith("src/"):
             continue
-        prog = conc_check.Program()
-        text = conc_check._strip_comments(
+        mutexes: dict[str, int] = {}
+        text = cxxscan.strip_comments(
             path.read_text(encoding="utf-8", errors="replace"))
-        conc_check._harvest_mutexes(text, rel, prog)
-        for lock_id, info in sorted(prog.mutexes.items()):
+        for cls, member, _kind, line in cxxscan.harvest_mutexes(text):
+            mutexes.setdefault(f"{cxxscan.subsys_of(rel)}.{cls}.{member}",
+                               line)
+        for lock_id, line in sorted(mutexes.items()):
             if lock_id not in ranks:
                 violations.append(
-                    f"{rel}:{info['line']}: [lock-rank] mutex member "
+                    f"{rel}:{line}: [lock-rank] mutex member "
                     f"\"{lock_id}\" has no rank in {LOCK_HIERARCHY} — run "
                     "`tools/conc_check.py --edges src` to place it, then "
                     f"add a `<rank> {lock_id}` line"
@@ -395,11 +398,13 @@ CAPACITY_BOUNDS = "tools/capacity_bounds.txt"
 
 def check_capacity_registry(violations: list[str]) -> None:
     """GLOBE_BOUNDED members and tools/capacity_bounds.txt must match 1:1."""
-    # Reuse bounds_check's field harvest (same directory) so lint and the
-    # analyzer agree, byte for byte, on what a bounded member and its id are.
+    # Reuse the analyzers' field harvest (tools/cxxscan) so lint and
+    # bounds_check agree, byte for byte, on what a bounded member and its id
+    # are.
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
     try:
         import bounds_check
+        import cxxscan
     finally:
         sys.path.pop(0)
     caps = bounds_check.load_capacity(str(REPO / CAPACITY_BOUNDS))
@@ -408,14 +413,14 @@ def check_capacity_registry(violations: list[str]) -> None:
         rel = relpath(path)
         if not rel.startswith("src/"):
             continue
-        prog = bounds_check.Program()
-        text = bounds_check._strip_comments(
+        prog = cxxscan.Program()
+        text = cxxscan.strip_comments(
             path.read_text(encoding="utf-8", errors="replace"))
-        bounds_check._harvest_fields(text, rel, prog)
+        cxxscan.harvest_fields(text, rel, prog)
         for cls, members in prog.field_info.items():
             for member, info in members.items():
                 if info["bounded"]:
-                    mid = f"{bounds_check.subsys_of(rel)}.{cls}.{member}"
+                    mid = f"{cxxscan.subsys_of(rel)}.{cls}.{member}"
                     bounded[mid] = (rel, info["line"])
     for mid, (rel, line) in sorted(bounded.items()):
         if mid not in caps:
