@@ -13,7 +13,6 @@ bool DelayedReplicator::schedule(const globedoc::Oid& oid,
                                  const globedoc::IntegrityCertificate& cert,
                                  const std::string& accessed_name) {
   std::vector<std::string> names;
-  names.reserve(cert.entries().size());
   for (const auto& entry : cert.entries()) {
     if (entry.name != accessed_name) names.push_back(entry.name);
   }

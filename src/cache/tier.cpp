@@ -71,7 +71,7 @@ bool EdgeCacheTier::first_access(const globedoc::Oid& oid) {
   return true;
 }
 
-util::Result<globedoc::EdgeFetch> EdgeCacheTier::fetch_through(
+util::Result<EdgeFetch> EdgeCacheTier::fetch_through(
     net::Transport& transport, const net::Endpoint& replica,
     const globedoc::Oid& oid, const globedoc::IntegrityCertificate& cert,
     const std::string& element_name) {
@@ -99,7 +99,7 @@ util::Result<globedoc::EdgeFetch> EdgeCacheTier::fetch_through(
   const CacheKey key{oid, element_name, entry->sha1};
   if (auto hit = cache_.lookup(key, transport.now())) {
     if (hits_) hits_->inc();
-    globedoc::EdgeFetch out;
+    EdgeFetch out;
     out.element = std::move(hit->element);
     // Serving a hit copies the element out of memory — charge it so hit
     // latency is small-but-nonzero and sub-ms percentiles stay honest.
@@ -121,7 +121,7 @@ util::Result<globedoc::EdgeFetch> EdgeCacheTier::fetch_through(
     // sync its virtual clock so coalesced latency is modelled, not free.
     transport.advance_to(filled.completed_at);
   }
-  globedoc::EdgeFetch out;
+  EdgeFetch out;
   out.element = std::move(filled.element);
   out.coalesced = !outcome.leader;
   return out;

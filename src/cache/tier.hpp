@@ -18,8 +18,17 @@
 // delayed pull (run_delayed_pulls() drains the queue); evicting an entry
 // cancels pending pulls for its document.
 //
-// One tier instance is meant to be SHARED by many proxies/flows on a node —
-// that sharing is where coalescing and the fleet-wide hit ratio come from.
+// Safety contract (what makes the tier safe to trust):
+//   * an element is only returned if it passed check_element under the
+//     caller's certificate — just now (a fill) or when it was admitted
+//     (verified once, served many times from an untrusted position, §3.2.2);
+//   * a cached copy never outlives its certificate entry's validity window;
+//   * a failed verification is never cached (no negative entries, no
+//     poisoned groups).
+//
+// A tier shared by many proxies on a node (ProxyConfig::edge_cache) is where
+// coalescing and the fleet-wide hit ratio come from; a lone proxy with
+// ProxyConfig::cache_elements owns a private one.
 #pragma once
 
 #include <cstdint>
@@ -29,10 +38,10 @@
 #include "cache/delayed_replicator.hpp"
 #include "cache/element_cache.hpp"
 #include "cache/single_flight.hpp"
-#include "globedoc/cache_iface.hpp"
 #include "obs/metrics.hpp"
 #include "util/bounds_annotations.hpp"
 #include "util/mutex.hpp"
+#include "util/status.hpp"
 
 namespace globe::cache {
 
@@ -44,15 +53,27 @@ struct TierConfig {
   obs::MetricsRegistry* registry = nullptr;
 };
 
-class EdgeCacheTier final : public globedoc::ElementCacheTier {
+/// Outcome of one fetch through the tier.
+struct EdgeFetch {
+  globedoc::PageElement element;
+  bool cache_hit = false;  // served from the verified cache, zero upstream
+  bool coalesced = false;  // waited on another flow's in-flight fill
+};
+
+class EdgeCacheTier {
  public:
   explicit EdgeCacheTier(TierConfig config);
 
-  util::Result<globedoc::EdgeFetch> fetch_through(
+  /// Returns the named element, served from cache when possible, otherwise
+  /// filled from `replica` over `transport` and verified against
+  /// `certificate` (which the caller has already signature-checked against
+  /// the object key — the tier re-checks only per-element properties).
+  /// Typed verification failures propagate exactly like the direct path's.
+  util::Result<EdgeFetch> fetch_through(
       net::Transport& transport, const net::Endpoint& replica,
       const globedoc::Oid& oid,
       const globedoc::IntegrityCertificate& certificate,
-      const std::string& element_name) override;
+      const std::string& element_name);
 
   /// Drains the delayed-replication queue over `transport` (the caller
   /// decides when background bandwidth is cheap).  No-op when delayed

@@ -58,6 +58,7 @@ const std::vector<double>& fetch_ms_bounds() {
 GlobeDocProxy::GlobeDocProxy(net::Transport& transport, ProxyConfig config)
     : transport_(&transport),
       config_(std::move(config)),
+      tier_(config_.edge_cache),
       registry_(config_.registry != nullptr ? config_.registry
                                             : &obs::global_registry()),
       resolver_(transport, config_.naming_root, config_.naming_anchor,
@@ -70,6 +71,13 @@ GlobeDocProxy::GlobeDocProxy(net::Transport& transport, ProxyConfig config)
   replicas_tried_ = &registry_->counter("proxy.replicas_tried");
   cert_verifies_ = &registry_->counter("proxy.cert_verifies");
   cert_verify_memo_hits_ = &registry_->counter("proxy.cert_verify_memo_hits");
+  if (tier_ == nullptr && config_.cache_elements) {
+    // Private tier: nothing pumps it, so no delayed sibling pulls.
+    cache::TierConfig tier_config;
+    tier_config.delayed_replication = false;
+    owned_tier_ = std::make_unique<cache::EdgeCacheTier>(tier_config);
+    tier_ = owned_tier_.get();
+  }
 }
 
 Result<FetchResult> GlobeDocProxy::fetch_url(const std::string& hybrid_url) {
@@ -166,8 +174,8 @@ Result<GlobeDocProxy::Binding> GlobeDocProxy::bind_replica(const Oid& oid,
         cert_verify_memo_.erase(cert_verify_memo_order_.front());
         cert_verify_memo_order_.pop_front();
       }
-      cert_verify_memo_.insert(memo_key);
-      cert_verify_memo_order_.push_back(std::move(memo_key));
+      cert_verify_memo_order_.push_back(
+          cert_verify_memo_.insert(std::move(memo_key)).first);
     }
   }
   if (certificate->oid() != oid) {
@@ -182,18 +190,20 @@ Result<PageElement> GlobeDocProxy::fetch_element(const Binding& binding,
                                                  const std::string& element_name,
                                                  FetchMetrics& metrics,
                                                  obs::Tracer& tracer) {
-  // Edge-cache tier (step 6 via the shared verified cache): hits are served
-  // locally, misses coalesce into one batched fill.  The tier performs the
-  // §3.2.2 element checks itself under `binding.certificate`, so its results
-  // carry the same guarantees as the direct path below; verification time
-  // lands in the edge_cache span instead of element_verify.
-  if (config_.edge_cache != nullptr) {
+  // Verified element cache (step 6 via a tier): hits are served locally
+  // until the certificate entry's validity interval ends, misses coalesce
+  // into one batched fill.  The tier performs the §3.2.2 element checks
+  // itself under `binding.certificate`, so its results carry the same
+  // guarantees as the direct path below; verification time lands in the
+  // edge_cache span instead of element_verify.
+  if (tier_ != nullptr) {
     auto edge_span = tracer.span(FetchStage::kEdgeCache);
-    auto fetched = config_.edge_cache->fetch_through(
-        *transport_, binding.replica, binding.oid, binding.certificate,
-        element_name);
+    auto fetched = tier_->fetch_through(*transport_, binding.replica,
+                                        binding.oid, binding.certificate,
+                                        element_name);
     edge_span.end();
     if (!fetched.is_ok()) return fetched.status();
+    if (fetched->cache_hit && owned_tier_ != nullptr) element_cache_hits_->inc();
     metrics.served_from_edge_cache = fetched->cache_hit;
     metrics.coalesced_fill = fetched->coalesced;
     metrics.content_bytes += fetched->element.content.size();
@@ -226,15 +236,23 @@ Result<PageElement> GlobeDocProxy::fetch_element(const Binding& binding,
   return element;
 }
 
-void GlobeDocProxy::cache_element(const std::string& object_name,
-                                  const std::string& element_name,
-                                  const Binding& binding,
-                                  const PageElement& element) {
-  if (!config_.cache_elements) return;
-  const ElementEntry* entry = binding.certificate.find(element_name);
-  if (entry == nullptr) return;
-  element_cache_[{object_name, element_name}] =
-      CachedElement{element, entry->expires, binding.certified_as};
+FetchResult GlobeDocProxy::finish_fetch(const Binding& binding,
+                                        PageElement element,
+                                        FetchMetrics& metrics,
+                                        util::SimTime start) {
+  const net::Endpoint& replica = binding.replica;
+  last_replica_.store((std::uint64_t{1} << 63) |
+                          (std::uint64_t{replica.host.value} << 16) |
+                          replica.port,
+                      std::memory_order_relaxed);
+  metrics.total_time = transport_->now() - start;
+  // Per-replica end-to-end latency: the series the latency SLO watches,
+  // labeled so a burn-rate alert names the slow replica directly.
+  registry_
+      ->histogram("proxy.fetch_ms", fetch_ms_bounds(),
+                  {{"replica", replica.to_string()}})
+      .observe(util::to_millis(metrics.total_time));
+  return FetchResult{std::move(element), binding.certified_as, metrics};
 }
 
 Result<FetchResult> GlobeDocProxy::fetch(const std::string& object_name,
@@ -276,25 +294,6 @@ Result<FetchResult> GlobeDocProxy::fetch_inner(const std::string& object_name,
   auto fetch_span = tracer.span(FetchStage::kFetch);
   util::SimTime start = transport_->now();
 
-  // Verified element cache: sound to serve locally until the certificate
-  // entry's validity interval ends (freshness is exactly what the interval
-  // certifies).
-  if (config_.cache_elements) {
-    auto it = element_cache_.find({object_name, element_name});
-    if (it != element_cache_.end()) {
-      if (transport_->now() < it->second.expires) {
-        metrics.used_cached_element = true;
-        metrics.content_bytes = it->second.element.content.size();
-        element_cache_hits_->inc();
-        return FetchResult{it->second.element, it->second.certified_as, metrics};
-      }
-      obs::global_event_log().emit(
-          obs::EventLevel::kDebug, "proxy", "element_cache_evict",
-          object_name + "/" + element_name + " expired", transport_->now());
-      element_cache_.erase(it);
-    }
-  }
-
   // Cached binding fast path (re-binds on any failure below).
   if (config_.cache_bindings) {
     auto it = bindings_.find(object_name);
@@ -303,14 +302,8 @@ Result<FetchResult> GlobeDocProxy::fetch_inner(const std::string& object_name,
       metrics.replicas_tried = 1;
       auto element = fetch_element(it->second, element_name, metrics, tracer);
       if (element.is_ok()) {
-        metrics.total_time = transport_->now() - start;
-        registry_
-            ->histogram("proxy.fetch_ms", fetch_ms_bounds(),
-                        {{"replica", it->second.replica.to_string()}})
-            .observe(util::to_millis(metrics.total_time));
         binding_cache_hits_->inc();
-        cache_element(object_name, element_name, it->second, *element);
-        return FetchResult{std::move(*element), it->second.certified_as, metrics};
+        return finish_fetch(it->second, std::move(*element), metrics, start);
       }
       bindings_.erase(it);
       metrics.used_cached_binding = false;
@@ -358,21 +351,12 @@ Result<FetchResult> GlobeDocProxy::fetch_inner(const std::string& object_name,
       continue;
     }
     if (config_.cache_bindings) {
+      // object_name has no binding here (a failed one was erased above), so
+      // a full map makes room by evicting one other name.
+      if (bindings_.size() >= kMaxBindings) bindings_.erase(bindings_.begin());
       bindings_[object_name] = *binding;
     }
-    last_replica_.store((std::uint64_t{1} << 63) |
-                            (std::uint64_t{address.host.value} << 16) |
-                            address.port,
-                        std::memory_order_relaxed);
-    metrics.total_time = transport_->now() - start;
-    // Per-replica end-to-end latency: the series the latency SLO watches,
-    // labeled so a burn-rate alert names the slow replica directly.
-    registry_
-        ->histogram("proxy.fetch_ms", fetch_ms_bounds(),
-                    {{"replica", address.to_string()}})
-        .observe(util::to_millis(metrics.total_time));
-    cache_element(object_name, element_name, *binding, *element);
-    return FetchResult{std::move(*element), binding->certified_as, metrics};
+    return finish_fetch(*binding, std::move(*element), metrics, start);
   }
   return last_error;
 }

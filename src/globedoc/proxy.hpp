@@ -23,11 +23,12 @@
 #pragma once
 
 #include <deque>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
 
-#include "globedoc/cache_iface.hpp"
+#include "cache/tier.hpp"
 #include "globedoc/hybrid_url.hpp"
 #include "globedoc/identity.hpp"
 #include "globedoc/integrity.hpp"
@@ -63,15 +64,16 @@ struct ProxyConfig {
   // Client-side element cache: a verified element may be served locally
   // until its certificate entry expires — the per-element validity interval
   // of §3.2.2 doubles as a sound cache TTL (the "Verif" client strategy of
-  // ref [13]).
+  // ref [13]).  Step 6 then routes through `edge_cache` when set, otherwise
+  // through a private tier the proxy builds and owns.
   bool cache_elements = false;
   // Shared verified edge-cache tier (src/cache/, DESIGN.md §12).  When set,
   // step 6 routes through the tier: hits serve locally, misses coalesce into
   // one batched upstream fill per distinct element.  One tier instance is
   // typically shared by every proxy/flow on a node — the sharing is what
-  // collapses a thundering herd.  Must outlive the proxy; nullptr = direct
-  // per-request fetches (the pre-tier behaviour).
-  ElementCacheTier* edge_cache = nullptr;
+  // collapses a thundering herd.  Must outlive the proxy; nullptr (and
+  // cache_elements off) = direct per-request fetches.
+  cache::EdgeCacheTier* edge_cache = nullptr;
   // Completed fetch traces (and, via RPC propagation, the server-side
   // fragments they caused) are stitched here; nullptr means the process-wide
   // obs::global_trace_collector().
@@ -108,7 +110,6 @@ struct FetchMetrics {
   std::size_t content_bytes = 0;
   std::size_t replicas_tried = 0;
   bool used_cached_binding = false;
-  bool used_cached_element = false;  // served from the verified local cache
   bool served_from_edge_cache = false;  // edge tier hit, zero upstream RPCs
   bool coalesced_fill = false;  // waited on another flow's in-flight fill
   /// Span tree of this fetch: a "fetch" root whose children are the
@@ -146,13 +147,21 @@ class GlobeDocProxy {
       const http::HttpRequest& request);
   void set_origin_fallback(const net::Endpoint& origin) { origin_ = origin; }
 
+  /// Verified bindings kept past this count evict one entry each.
+  static constexpr std::size_t kMaxBindings = 256;
+
   /// Drops verified bindings (next fetch re-binds from scratch).
   void clear_bindings() { bindings_.clear(); }
   std::size_t binding_count() const { return bindings_.size(); }
 
-  /// Drops cached elements; expired entries are also evicted lazily.
-  void clear_element_cache() { element_cache_.clear(); }
-  std::size_t element_cache_size() const { return element_cache_.size(); }
+  /// The element cache of the tier step 6 routes through (0 / no-op when
+  /// none); expired entries are also evicted lazily.
+  void clear_element_cache() {
+    if (tier_ != nullptr) tier_->element_cache().clear();
+  }
+  std::size_t element_cache_size() const {
+    return tier_ != nullptr ? tier_->element_cache().size() : 0;
+  }
 
   /// Registers this proxy's readiness probes on an admin surface:
   /// "naming" (root name server reachable), "location" (local Location
@@ -188,22 +197,17 @@ class GlobeDocProxy {
                                           const std::string& element_name,
                                           FetchMetrics& metrics, obs::Tracer& tracer);
 
-  /// Stores a verified element with its certificate-entry expiry.  Trusted
-  /// sink: only elements that passed check_element() may enter the cache —
-  /// a cached element is served without re-verification until expiry.
-  void cache_element(const std::string& object_name,
-                     const std::string& element_name,
-                     GLOBE_TRUSTED_SINK const Binding& binding,
-                     GLOBE_TRUSTED_SINK const PageElement& element);
-
-  struct CachedElement {
-    PageElement element;
-    util::SimTime expires = 0;  // the certificate entry's validity end
-    std::optional<std::string> certified_as;
-  };
+  /// Success tail of both fetch paths: records proxy.fetch_ms and the
+  /// replica the element was served from.
+  FetchResult finish_fetch(const Binding& binding, PageElement element,
+                           FetchMetrics& metrics, util::SimTime start);
 
   net::Transport* transport_;
   ProxyConfig config_;
+  // Step-6 tier: config_.edge_cache, else owned_tier_ when cache_elements is
+  // set, else nullptr (direct fetches).
+  std::unique_ptr<cache::EdgeCacheTier> owned_tier_;
+  cache::EdgeCacheTier* tier_;
   // Endpoint of the replica the last successful fetch was served from,
   // packed ((1<<63) | host<<16 | port) so health probes on another thread
   // read it without a lock; 0 = none yet.
@@ -221,16 +225,17 @@ class GlobeDocProxy {
   naming::SecureResolver resolver_;
   location::LocationClient locator_;
   std::optional<net::Endpoint> origin_;
-  std::map<std::string, Binding> bindings_;  // object name -> verified binding
-  // (object name, element name) -> verified element, until entry expiry.
-  std::map<std::pair<std::string, std::string>, CachedElement> element_cache_;
+  // Object name -> verified binding, at most kMaxBindings.
+  std::map<std::string, Binding> bindings_ GLOBE_BOUNDED;
   // Integrity-certificate verification memo: one RSA verify per
   // (document key, certificate), not one per element fetched.  Keyed on the
   // EXACT raw bytes of (serialized object key, serialized certificate), so a
   // memo hit replays a verification of byte-identical inputs — no weaker
-  // than re-running it.  Only successes are remembered; bounded FIFO.
-  std::set<std::pair<util::Bytes, util::Bytes>> cert_verify_memo_ GLOBE_BOUNDED;
-  std::deque<std::pair<util::Bytes, util::Bytes>> cert_verify_memo_order_ GLOBE_BOUNDED;
+  // than re-running it.  Only successes are remembered; bounded FIFO whose
+  // order queue points into the set, so each pair is stored once.
+  using CertMemo = std::set<std::pair<util::Bytes, util::Bytes>>;
+  CertMemo cert_verify_memo_ GLOBE_BOUNDED;
+  std::deque<CertMemo::iterator> cert_verify_memo_order_ GLOBE_BOUNDED;
 };
 
 }  // namespace globe::globedoc

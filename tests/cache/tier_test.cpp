@@ -82,6 +82,27 @@ TEST_F(TierFixture, SharedTierCollapsesManyClientsToOneOriginFetch) {
   EXPECT_EQ(object_server->elements_served(), before + 1);
 }
 
+TEST_F(TierFixture, ElementCachingProxyKeepsOneCopyInTheSharedTier) {
+  EdgeCacheTier tier(tier_config());
+  ProxyConfig pc = proxy_config();
+  pc.cache_bindings = true;
+  pc.cache_elements = true;
+  pc.edge_cache = &tier;
+  GlobeDocProxy proxy(*client_flow, pc);
+
+  ASSERT_TRUE(proxy.fetch(object_name, "index.html").is_ok());
+  EXPECT_EQ(tier.element_cache().size(), 1u);
+  EXPECT_EQ(proxy.element_cache_size(), 1u);  // the same, shared entry
+
+  // Dropping the shared entry leaves the proxy no private copy to serve.
+  tier.element_cache().clear();
+  EXPECT_EQ(proxy.element_cache_size(), 0u);
+  auto refetch = proxy.fetch(object_name, "index.html");
+  ASSERT_TRUE(refetch.is_ok());
+  EXPECT_FALSE(refetch->metrics.served_from_edge_cache);
+  EXPECT_EQ(registry.counter("cache.misses").value(), 2u);
+}
+
 TEST_F(TierFixture, DelayedReplicationPullsSiblingsInBackground) {
   EdgeCacheTier tier(tier_config());
   auto cert = current_cert();

@@ -1,5 +1,7 @@
 // Verified client-side element caching: the certificate entry's validity
 // interval doubles as a sound cache TTL ([13]'s "Verif" client strategy).
+// With cache_elements set and no shared edge_cache, the proxy routes step 6
+// through a private EdgeCacheTier it owns.
 #include <gtest/gtest.h>
 
 #include "globedoc/proxy.hpp"
@@ -16,22 +18,30 @@ struct ElementCacheFixture : WorldFixture {
     ProxyConfig config = proxy_config();
     config.cache_bindings = true;
     config.cache_elements = true;
+    config.registry = &registry;
     return GlobeDocProxy(*client_flow, config);
   }
+
+  obs::MetricsRegistry registry;
 };
 
 TEST_F(ElementCacheFixture, SecondFetchServedLocally) {
   auto proxy = make_proxy();
   auto first = proxy.fetch(object_name, "index.html");
   ASSERT_TRUE(first.is_ok());
-  EXPECT_FALSE(first->metrics.used_cached_element);
+  EXPECT_FALSE(first->metrics.served_from_edge_cache);
   EXPECT_EQ(proxy.element_cache_size(), 1u);
 
+  const std::size_t served = object_server->elements_served();
   util::SimTime t = client_flow->now();
   auto second = proxy.fetch(object_name, "index.html");
   ASSERT_TRUE(second.is_ok());
-  EXPECT_TRUE(second->metrics.used_cached_element);
-  EXPECT_EQ(client_flow->now(), t);  // zero network, zero virtual time
+  EXPECT_TRUE(second->metrics.served_from_edge_cache);
+  EXPECT_EQ(registry.counter("proxy.cache.element_hits").value(), 1u);
+  // Zero network: the origin served nothing, and the hit cost only its
+  // memcopy — less than one 5 ms link traversal.
+  EXPECT_EQ(object_server->elements_served(), served);
+  EXPECT_LT(client_flow->now() - t, util::millis(5));
   EXPECT_EQ(second->element.content, first->element.content);
   EXPECT_EQ(second->certified_as, first->certified_as);
 }
@@ -47,7 +57,9 @@ TEST_F(ElementCacheFixture, CacheExpiresWithCertificateEntry) {
   auto result = proxy.fetch(object_name, "index.html");
   EXPECT_FALSE(result.is_ok());
   EXPECT_EQ(result.code(), util::ErrorCode::kExpired);
-  EXPECT_EQ(proxy.element_cache_size(), 0u);  // stale entry evicted
+  // The tier refuses an expired certificate entry before lookup, so the
+  // stale copy is never served even though it is still stored.
+  EXPECT_EQ(proxy.element_cache_size(), 1u);
 
   // A refreshed replica repopulates the cache.
   publish_flow->set_time(client_flow->now());
@@ -57,7 +69,7 @@ TEST_F(ElementCacheFixture, CacheExpiresWithCertificateEntry) {
                   .is_ok());
   auto again = proxy.fetch(object_name, "index.html");
   ASSERT_TRUE(again.is_ok());
-  EXPECT_FALSE(again->metrics.used_cached_element);
+  EXPECT_FALSE(again->metrics.served_from_edge_cache);
   EXPECT_EQ(proxy.element_cache_size(), 1u);
 }
 
@@ -68,7 +80,7 @@ TEST_F(ElementCacheFixture, DistinctElementsCachedSeparately) {
   EXPECT_EQ(proxy.element_cache_size(), 2u);
   auto cached = proxy.fetch(object_name, "story.txt");
   ASSERT_TRUE(cached.is_ok());
-  EXPECT_TRUE(cached->metrics.used_cached_element);
+  EXPECT_TRUE(cached->metrics.served_from_edge_cache);
   EXPECT_EQ(util::to_string(cached->element.content), "full text");
 }
 
@@ -79,7 +91,7 @@ TEST_F(ElementCacheFixture, ClearCacheForcesRefetch) {
   EXPECT_EQ(proxy.element_cache_size(), 0u);
   auto result = proxy.fetch(object_name, "index.html");
   ASSERT_TRUE(result.is_ok());
-  EXPECT_FALSE(result->metrics.used_cached_element);
+  EXPECT_FALSE(result->metrics.served_from_edge_cache);
 }
 
 TEST_F(ElementCacheFixture, DisabledByDefault) {
@@ -88,7 +100,7 @@ TEST_F(ElementCacheFixture, DisabledByDefault) {
   ASSERT_TRUE(proxy.fetch(object_name, "index.html").is_ok());
   auto second = proxy.fetch(object_name, "index.html");
   ASSERT_TRUE(second.is_ok());
-  EXPECT_FALSE(second->metrics.used_cached_element);
+  EXPECT_FALSE(second->metrics.served_from_edge_cache);
   EXPECT_EQ(proxy.element_cache_size(), 0u);
 }
 
@@ -112,13 +124,13 @@ TEST_F(ElementCacheFixture, StaleCacheCannotHideAnUpdateBeyondItsWindow) {
   // Still inside the old entry's window: cache may answer with v1.
   auto inside = proxy.fetch(object_name, "index.html");
   ASSERT_TRUE(inside.is_ok());
-  EXPECT_TRUE(inside->metrics.used_cached_element);
+  EXPECT_TRUE(inside->metrics.served_from_edge_cache);
 
   // Past the old window (but inside v2's): the proxy refetches, sees v2.
   client_flow->advance(util::seconds(1700));
   auto outside = proxy.fetch(object_name, "index.html");
   ASSERT_TRUE(outside.is_ok());
-  EXPECT_FALSE(outside->metrics.used_cached_element);
+  EXPECT_FALSE(outside->metrics.served_from_edge_cache);
   EXPECT_EQ(util::to_string(outside->element.content), "<html>v2</html>");
 }
 

@@ -208,6 +208,27 @@ TEST_F(ProxyFixture, BindingCacheSpeedsUpSecondFetch) {
   EXPECT_EQ(proxy.binding_count(), 1u);
 }
 
+TEST_F(ProxyFixture, BindingCacheStaysBounded) {
+  // One object under more names than the binding cache holds: each name
+  // binds on its own, and the cert-verify memo keeps those binds cheap.
+  const std::size_t names = GlobeDocProxy::kMaxBindings + 8;
+  auto alias = [](std::size_t i) { return "alias" + std::to_string(i) + ".vu.nl"; };
+  for (std::size_t i = 0; i < names; ++i) {
+    owner->register_name(*root_zone, alias(i), util::seconds(5000));
+  }
+  ProxyConfig config = proxy_config(/*identity=*/false);
+  config.cache_bindings = true;
+  GlobeDocProxy proxy(*client_flow, config);
+  for (std::size_t i = 0; i < names; ++i) {
+    ASSERT_TRUE(proxy.fetch(alias(i), "index.html").is_ok()) << alias(i);
+    ASSERT_LE(proxy.binding_count(), GlobeDocProxy::kMaxBindings);
+  }
+  // The newest binding survived the evictions.
+  auto last = proxy.fetch(alias(names - 1), "story.txt");
+  ASSERT_TRUE(last.is_ok());
+  EXPECT_TRUE(last->metrics.used_cached_binding);
+}
+
 TEST_F(ProxyFixture, StaleCachedBindingRecovers) {
   ProxyConfig config = proxy_config();
   config.cache_bindings = true;

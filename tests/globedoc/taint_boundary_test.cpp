@@ -113,7 +113,7 @@ TEST_F(TaintBoundaryFixture, FailoverPastMaliciousReplicaServesVerified) {
   // A cache hit must serve the same verified bytes.
   auto cached = proxy.fetch(object_name, "index.html");
   ASSERT_TRUE(cached.is_ok());
-  EXPECT_TRUE(cached->metrics.used_cached_element);
+  EXPECT_TRUE(cached->metrics.served_from_edge_cache);
   EXPECT_EQ(util::to_string(cached->element.content),
             "<html><body>news story</body></html>");
 }

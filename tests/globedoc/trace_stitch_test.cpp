@@ -25,7 +25,31 @@ struct TraceStitchFixture : WorldFixture {
     collector->clear();
   }
 
+  /// Serves `proxy`'s admin surface (its health checks) on the client host.
+  net::Endpoint serve_admin(GlobeDocProxy& proxy, std::uint16_t port) {
+    obs::AdminConfig config;
+    config.service = "proxy";
+    admin = std::make_unique<obs::AdminHttpServer>(config);
+    proxy.register_health_checks(*admin);
+    net::Endpoint admin_ep{client_host, port};
+    net.bind(admin_ep, admin->handler());
+    return admin_ep;
+  }
+
+  http::HttpResponse healthz(const net::Endpoint& admin_ep) {
+    if (!admin_flow) admin_flow = net.open_flow(infra_host);
+    http::HttpRequest req;
+    req.target = "/healthz";
+    auto raw = admin_flow->call(admin_ep, req.serialize());
+    EXPECT_TRUE(raw.is_ok());
+    auto resp = http::parse_response(*raw);
+    EXPECT_TRUE(resp.is_ok());
+    return *resp;
+  }
+
   obs::TraceCollector* collector = nullptr;
+  std::unique_ptr<obs::AdminHttpServer> admin;
+  std::unique_ptr<net::SimFlow> admin_flow;
 };
 
 // Spans named "rpc:*" anywhere under `root`, depth-first.
@@ -175,37 +199,59 @@ TEST_F(TraceStitchFixture, AdminSurfaceServesTheStitchedTrace) {
 TEST_F(TraceStitchFixture, ProxyHealthzFlipsOnReplicaLinkFailure) {
   GlobeDocProxy proxy(*client_flow, proxy_config());
   ASSERT_TRUE(proxy.fetch(object_name, "index.html").is_ok());
+  net::Endpoint admin_ep = serve_admin(proxy, 9902);
 
-  obs::AdminConfig config;
-  config.service = "proxy";
-  obs::AdminHttpServer admin(config);
-  proxy.register_health_checks(admin);
-  net::Endpoint admin_ep{client_host, 9902};
-  net.bind(admin_ep, admin.handler());
-  auto flow = net.open_flow(infra_host);
-
-  auto healthz = [&]() {
-    http::HttpRequest req;
-    req.target = "/healthz";
-    auto raw = flow->call(admin_ep, req.serialize());
-    EXPECT_TRUE(raw.is_ok());
-    auto resp = http::parse_response(*raw);
-    EXPECT_TRUE(resp.is_ok());
-    return *resp;
-  };
-
-  EXPECT_EQ(healthz().status, 200);
+  EXPECT_EQ(healthz(admin_ep).status, 200);
 
   // Cut the client's path to the object server: the "replica" probe (the
   // last endpoint a fetch was served from) must now fail.
   net.set_link_down(client_host, server_host, true);
-  http::HttpResponse down = healthz();
+  http::HttpResponse down = healthz(admin_ep);
   EXPECT_EQ(down.status, 503);
   EXPECT_NE(util::to_string(down.body).find("\"name\":\"replica\",\"ok\":false"),
             std::string::npos);
 
   net.set_link_down(client_host, server_host, false);
-  EXPECT_EQ(healthz().status, 200);
+  EXPECT_EQ(healthz(admin_ep).status, 200);
+}
+
+TEST_F(TraceStitchFixture, ReplicaProbeFollowsACachedBindingFetch) {
+  // A second document whose only replica sits on a second server host.
+  net::HostId server2_host = net.add_host({"server-2", net::CpuModel{}});
+  ObjectServer server2("srv-2", 43);
+  server2.authorize(owner_credentials.pub);
+  rpc::ServiceDispatcher server2_dispatcher;
+  server2.register_with(server2_dispatcher);
+  net::Endpoint server2_ep{server2_host, 8000};
+  net.bind(server2_ep, server2_dispatcher.handler());
+  GlobeDocObject doc_b(testing::fixture_key(1005));
+  doc_b.put_element({"index.html", "text/html", util::to_bytes("doc b")});
+  ObjectOwner owner_b(std::move(doc_b), owner_credentials);
+  owner_b.register_name(*root_zone, "b.vu.nl", util::seconds(5000));
+  ASSERT_TRUE(owner_b
+                  .publish_replica(*publish_flow, server2_ep,
+                                   tree->endpoint("site-server"),
+                                   owner_b.sign_and_snapshot(
+                                       publish_flow->now(), util::seconds(3600)))
+                  .is_ok());
+
+  ProxyConfig config = proxy_config();
+  config.cache_bindings = true;
+  GlobeDocProxy proxy(*client_flow, config);
+  ASSERT_TRUE(proxy.fetch(object_name, "index.html").is_ok());  // replica 1
+  ASSERT_TRUE(proxy.fetch("b.vu.nl", "index.html").is_ok());    // replica 2
+  // Served from replica 1 again, through the cached binding.
+  auto again = proxy.fetch(object_name, "story.txt");
+  ASSERT_TRUE(again.is_ok());
+  EXPECT_TRUE(again->metrics.used_cached_binding);
+
+  net::Endpoint admin_ep = serve_admin(proxy, 9903);
+  net.set_link_down(client_host, server_host, true);
+  http::HttpResponse down = healthz(admin_ep);
+  EXPECT_EQ(down.status, 503);
+  EXPECT_NE(util::to_string(down.body).find("\"name\":\"replica\",\"ok\":false"),
+            std::string::npos);
+  net.unbind(server2_ep);
 }
 
 TEST_F(TraceStitchFixture, VerificationFailureEventsJoinTheFetchTrace) {
