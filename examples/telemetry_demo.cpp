@@ -213,10 +213,8 @@ int main(int argc, char** argv) {
   maintainer_config.refresh_margin = util::seconds(100000);  // re-pull each tick
   replication::ReplicaMaintainer os2_maintainer(os2, *os2_flow, maintainer_config);
   replication::ReplicaMaintainer os3_maintainer(os3, *os3_flow, maintainer_config);
-  os2_maintainer.track(doc_oid, {server_ep}, os2_seed->version,
-                       os2_seed->earliest_expiry);
-  os3_maintainer.track(doc_oid, {server_ep}, os3_seed->version,
-                       os3_seed->earliest_expiry);
+  os2_maintainer.track(doc_oid, {server_ep});
+  os3_maintainer.track(doc_oid, {server_ep});
 
   // --- The consistency auditor: cross-checks every replica's reported
   // (epoch, digest, expiry) against the master's each round; its registry
@@ -348,7 +346,7 @@ int main(int argc, char** argv) {
   // endpoint, so the master keeps advancing epochs while os-2 stands
   // still — stale (cert window still open), never diverged.
   std::printf("[net] os-2 upstream lost: repointing its maintainer at a dead source\n");
-  os2_maintainer.track(doc_oid, {net::Endpoint{server_host, 9999}}, 0, 0);
+  os2_maintainer.track(doc_oid, {net::Endpoint{server_host, 9999}});
   for (int i = 0; i < 4; ++i) {
     if (!ops_round()) return 1;
   }

@@ -19,6 +19,11 @@
 
 namespace globe::globedoc {
 
+/// Protocol ceiling on identity certificates per object.  ReplicaState::parse
+/// rejects states claiming more as a protocol error, and the list reader
+/// below reads such a list as empty; neither allocates for the claimed count.
+inline constexpr std::size_t kMaxIdentityCerts = 64;
+
 struct IdentityCertificate {
   std::string subject;   // real-world entity behind the object
   Oid oid;               // object this identity is claimed for
@@ -30,6 +35,15 @@ struct IdentityCertificate {
   util::Bytes serialize() const;
   static util::Result<IdentityCertificate> parse(util::BytesView data);
 };
+
+/// The kGetIdentityCerts reply: u32 n, then n serialized certificates.
+util::Bytes serialize_identity_list(const std::vector<IdentityCertificate>& certs);
+
+/// Lenient reader for that reply.  Certificates that do not parse are
+/// skipped, and a malformed list (truncated, or n above kMaxIdentityCerts)
+/// reads as empty: identity is optional, and every certificate returned
+/// still has to pass TrustStore::verify before it means anything.
+std::vector<IdentityCertificate> parse_identity_list(util::BytesView data);
 
 /// A certificate authority: issues identity certificates for OIDs.
 class CertificateAuthority {

@@ -54,6 +54,14 @@ const ElementEntry* IntegrityCertificate::find(const std::string& name) const {
   return nullptr;
 }
 
+util::SimTime IntegrityCertificate::earliest_expiry() const {
+  util::SimTime earliest = 0;
+  for (const auto& e : entries_) {
+    if (earliest == 0 || e.expires < earliest) earliest = e.expires;
+  }
+  return earliest;
+}
+
 bool IntegrityCertificate::verify_signature(const crypto::RsaPublicKey& key) const {
   return crypto::rsa_verify_sha1(key, body_, signature_);
 }

@@ -54,6 +54,10 @@ class IntegrityCertificate {
 
   [[nodiscard]] const ElementEntry* find(const std::string& name) const;
 
+  /// The first moment any entry stops being valid (clients start rejecting
+  /// the replica); 0 for a certificate with no entries.
+  util::SimTime earliest_expiry() const;
+
   /// Verifies the signature under the object's public key.  Sanitizes the
   /// certificate itself: a certificate that passed is trusted content.
   GLOBE_SANITIZER [[nodiscard]] bool verify_signature(

@@ -120,18 +120,7 @@ Result<GlobeDocProxy::Binding> GlobeDocProxy::bind_replica(const Oid& oid,
     auto certs_raw =
         replica.call(rpc::kGlobeDocSecurity, kGetIdentityCerts, oid_req.buffer());
     if (certs_raw.is_ok()) {
-      std::vector<IdentityCertificate> certs;
-      try {
-        util::Reader r(*certs_raw);
-        std::uint32_t n = r.u32();
-        for (std::uint32_t i = 0; i < n; ++i) {
-          auto cert = IdentityCertificate::parse(r.bytes());
-          if (cert.is_ok()) certs.push_back(std::move(*cert));
-        }
-      } catch (const util::SerialError&) {
-        // Malformed list: treat as no usable certificates.
-        certs.clear();
-      }
+      std::vector<IdentityCertificate> certs = parse_identity_list(*certs_raw);
       // One public-key verification per certificate examined.
       transport_->charge(net::CpuOp::kRsaVerify, certs.size());
       binding.certified_as =

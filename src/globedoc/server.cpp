@@ -1,6 +1,7 @@
 #include "globedoc/server.hpp"
 
 #include <algorithm>
+#include <functional>
 
 #include "crypto/merkle.hpp"
 #include "globedoc/fetch_many.hpp"
@@ -18,8 +19,8 @@ using util::Status;
 
 namespace {
 
-Result<Oid> read_oid(util::Reader& r) {
-  return Oid::from_bytes(r.raw(Oid::kSize));
+Status not_hosted(const Oid& oid) {
+  return Status(ErrorCode::kNotFound, "no replica of " + oid.to_hex());
 }
 
 Bytes admin_signed_payload(std::string_view tag, BytesView nonce, BytesView payload) {
@@ -91,24 +92,75 @@ bool ObjectServer::is_authorized(const crypto::RsaPublicKey& key) const {
 
 std::size_t ObjectServer::replica_count() const {
   util::LockGuard lock(mutex_);
-  return replicas_.size();
+  return hosted_.size();
 }
 
 bool ObjectServer::hosts(const Oid& oid) const {
   util::LockGuard lock(mutex_);
-  return replicas_.count(oid) > 0;
+  return hosted_.count(oid) > 0;
 }
 
-void ObjectServer::install_replica_unchecked(const ReplicaState& state,
+bool ObjectServer::install_replica_unchecked(const ReplicaState& state,
                                              util::SimTime now) {
   util::LockGuard lock(mutex_);
-  install_locked(state.certificate.oid(), state, now);
+  return install_locked(state, now, Install::kPull).is_ok();
 }
 
-void ObjectServer::install_locked(const Oid& oid, ReplicaState state,
-                                  util::SimTime now) {
-  replicas_[oid] = std::move(state);
-  installed_at_[oid] = now;
+ObjectServer::HostedVersion ObjectServer::hosted_version(const Oid& oid) const {
+  util::LockGuard lock(mutex_);
+  auto it = hosted_.find(oid);
+  if (it == hosted_.end()) return {};
+  const IntegrityCertificate& cert = it->second.state.certificate;
+  return {cert.version(), cert.earliest_expiry()};
+}
+
+Status ObjectServer::install_locked(ReplicaState state, util::SimTime now,
+                                    Install kind, const Bytes& admin_key) {
+  const Oid oid = state.certificate.oid();
+  auto it = hosted_.find(oid);
+  const Hosted* held = it == hosted_.end() ? nullptr : &it->second;
+  if (kind == Install::kCreate && held != nullptr && !held->creator.empty()) {
+    return Status(ErrorCode::kAlreadyExists, "replica exists: " + oid.to_hex());
+  }
+  if (kind == Install::kUpdate) {
+    if (held == nullptr || held->creator.empty()) return not_hosted(oid);
+    if (held->creator != admin_key) {
+      return Status(ErrorCode::kPermissionDenied,
+                    "only the creating entity may manage this replica");
+    }
+  }
+  // Refuse version rollback: a stale (but correctly signed) state must not
+  // replace a newer one, whether an admin pushed it or a pull fetched it.
+  if (held != nullptr &&
+      state.certificate.version() < held->state.certificate.version()) {
+    return Status(ErrorCode::kInvalidArgument,
+                  "state version older than the hosted replica");
+  }
+  HostingGrant grant;
+  if (kind != Install::kPull) {
+    // Resource policy (paper §6 extension): enforce the administrator's
+    // limits and start the hosting lease.
+    grant = check_capacity_locked(state.content_bytes(),
+                                  kind == Install::kCreate ? nullptr : &oid);
+    if (!grant.accepted) {
+      return Status(ErrorCode::kUnavailable, "hosting refused: " + grant.reason);
+    }
+  }
+  Hosted& record = hosted_.try_emplace(oid).first->second;
+  record.state = std::move(state);
+  record.installed_at = now;
+  if (kind != Install::kPull) {
+    record.creator = admin_key;
+    record.lease_until = grant.lease != 0 ? now + grant.lease : 0;
+  }
+  return Status::ok();
+}
+
+Result<const ReplicaState*> ObjectServer::live_locked(const Oid& oid,
+                                                      util::SimTime now) const {
+  auto it = hosted_.find(oid);
+  if (it == hosted_.end() || it->second.lapsed(now)) return not_hosted(oid);
+  return &it->second.state;
 }
 
 void ObjectServer::set_resource_limits(const ResourceLimits& limits) {
@@ -123,31 +175,26 @@ ResourceLimits ObjectServer::resource_limits() const {
 
 std::uint64_t ObjectServer::hosted_bytes() const {
   util::LockGuard lock(mutex_);
-  std::uint64_t total = 0;
-  for (const auto& [oid, state] : replicas_) total += state.content_bytes();
-  return total;
+  return hosted_bytes_locked();
 }
 
-bool ObjectServer::lease_expired_locked(const Oid& oid, util::SimTime now) const {
-  auto it = lease_until_.find(oid);
-  return it != lease_until_.end() && it->second <= now;
+std::uint64_t ObjectServer::hosted_bytes_locked(const Oid* except) const {
+  std::uint64_t total = 0;
+  for (const auto& [oid, record] : hosted_) {
+    if (except == nullptr || oid != *except) total += record.state.content_bytes();
+  }
+  return total;
 }
 
 std::size_t ObjectServer::expire_leases(util::SimTime now) {
   util::LockGuard lock(mutex_);
-  std::size_t evicted = 0;
-  for (auto it = lease_until_.begin(); it != lease_until_.end();) {
-    if (it->second <= now) {
-      replicas_.erase(it->first);
-      installed_at_.erase(it->first);
-      creators_.erase(it->first);
-      it = lease_until_.erase(it);
-      ++evicted;
-    } else {
-      ++it;
-    }
-  }
-  return evicted;
+  return expire_leases_locked(now);
+}
+
+std::size_t ObjectServer::expire_leases_locked(util::SimTime now) {
+  return std::erase_if(hosted_, [now](const auto& entry) {
+    return entry.second.lapsed(now);
+  });
 }
 
 HostingGrant ObjectServer::check_capacity_locked(std::uint64_t bytes,
@@ -158,20 +205,14 @@ HostingGrant ObjectServer::check_capacity_locked(std::uint64_t bytes,
     return grant;
   }
   if (existing_oid == nullptr && limits_.max_replicas != 0 &&
-      replicas_.size() >= limits_.max_replicas) {
+      hosted_.size() >= limits_.max_replicas) {
     grant.reason = "replica slots exhausted";
     return grant;
   }
-  if (limits_.max_total_bytes != 0) {
-    std::uint64_t in_use = 0;
-    for (const auto& [oid, state] : replicas_) {
-      if (existing_oid != nullptr && oid == *existing_oid) continue;
-      in_use += state.content_bytes();
-    }
-    if (in_use + bytes > limits_.max_total_bytes) {
-      grant.reason = "insufficient storage capacity";
-      return grant;
-    }
+  if (limits_.max_total_bytes != 0 &&
+      hosted_bytes_locked(existing_oid) + bytes > limits_.max_total_bytes) {
+    grant.reason = "insufficient storage capacity";
+    return grant;
   }
   grant.accepted = true;
   grant.lease = limits_.max_lease;
@@ -191,23 +232,20 @@ std::uint64_t ObjectServer::content_bytes_served() const {
 void ObjectServer::register_health_checks(obs::AdminHttpServer& admin) {
   admin.add_health_check("store", [this](net::ServerContext&) {
     util::LockGuard lock(mutex_);
-    (void)replicas_.size();  // replica table accessible
+    (void)hosted_.size();  // replica table accessible
     return Status::ok();
   });
   admin.add_health_check("capacity", [this](net::ServerContext&) {
     util::LockGuard lock(mutex_);
-    if (limits_.max_replicas != 0 && replicas_.size() >= limits_.max_replicas) {
+    if (limits_.max_replicas != 0 && hosted_.size() >= limits_.max_replicas) {
       return Status(ErrorCode::kUnavailable,
                     name_ + " at replica capacity (" +
-                        std::to_string(replicas_.size()) + "/" +
+                        std::to_string(hosted_.size()) + "/" +
                         std::to_string(limits_.max_replicas) + ")");
     }
-    if (limits_.max_total_bytes != 0) {
-      std::uint64_t used = 0;
-      for (const auto& [oid, state] : replicas_) used += state.content_bytes();
-      if (used >= limits_.max_total_bytes) {
-        return Status(ErrorCode::kUnavailable, name_ + " at byte capacity");
-      }
+    if (limits_.max_total_bytes != 0 &&
+        hosted_bytes_locked() >= limits_.max_total_bytes) {
+      return Status(ErrorCode::kUnavailable, name_ + " at byte capacity");
     }
     return Status::ok();
   });
@@ -218,9 +256,11 @@ void ObjectServer::register_freshness_probe(obs::AdminHttpServer& admin,
   admin.add_health_check("replication-freshness", [this, budget](
                                                       net::ServerContext& ctx) {
     util::LockGuard lock(mutex_);
-    if (replicas_.empty()) return Status::ok();
+    if (hosted_.empty()) return Status::ok();
     util::SimTime newest = 0;
-    for (const auto& [oid, at] : installed_at_) newest = std::max(newest, at);
+    for (const auto& [oid, record] : hosted_) {
+      newest = std::max(newest, record.installed_at);
+    }
     util::SimTime now = ctx.now();
     if (now > newest && now - newest > budget) {
       return Status(ErrorCode::kUnavailable,
@@ -236,8 +276,9 @@ void ObjectServer::register_freshness_probe(obs::AdminHttpServer& admin,
 obs::ConsistencyReport ObjectServer::consistency_report() const {
   util::LockGuard lock(mutex_);
   obs::ConsistencyReport report;
-  report.docs.reserve(replicas_.size());
-  for (const auto& [oid, state] : replicas_) {
+  report.docs.reserve(hosted_.size());
+  for (const auto& [oid, record] : hosted_) {
+    const ReplicaState& state = record.state;
     obs::DocConsistency doc;
     doc.oid = oid.to_bytes();
     doc.epoch = state.certificate.version();
@@ -259,12 +300,7 @@ obs::ConsistencyReport ObjectServer::consistency_report() const {
       for (const PageElement* e : ordered) leaves.push_back(e->digest());
       doc.digest = crypto::MerkleTree(leaves).root();
     }
-    doc.earliest_expiry = 0;
-    for (const ElementEntry& entry : state.certificate.entries()) {
-      if (doc.earliest_expiry == 0 || entry.expires < doc.earliest_expiry) {
-        doc.earliest_expiry = entry.expires;
-      }
-    }
+    doc.earliest_expiry = state.certificate.earliest_expiry();
     report.docs.push_back(std::move(doc));
   }
   return report;
@@ -278,17 +314,36 @@ void ObjectServer::register_with(rpc::ServiceDispatcher& dispatcher) {
           // handler (crypto included) to this server's profile registry.
           obs::ProfileRegistryScope profile_scope(profile_);
           GLOBE_PROFILE_SCOPE("server.handle");
-          return (this->*fn)(ctx, payload);
+          return std::invoke(fn, this, ctx, payload);
         });
   };
+  // The {oid20} requests: one decoder and one live lookup, a reply each.
+  auto oid_request = [](const char* probe, Bytes (*reply)(const ReplicaState&)) {
+    return [probe, reply](ObjectServer* self, net::ServerContext& ctx,
+                          BytesView payload) {
+      return self->serve_oid_request(ctx, payload, probe, reply);
+    };
+  };
   bindm(rpc::kGlobeDocAccess, kGetElement, &ObjectServer::handle_get_element);
-  bindm(rpc::kGlobeDocAccess, kListElements, &ObjectServer::handle_list_elements);
+  bindm(rpc::kGlobeDocAccess, kListElements,
+        oid_request("server.list_elements", [](const ReplicaState& state) {
+          util::Writer w;
+          w.u32(static_cast<std::uint32_t>(state.elements.size()));
+          for (const auto& el : state.elements) w.str(el.name);
+          return w.take();
+        }));
   bindm(rpc::kGlobeDocAccess, kFetchMany, &ObjectServer::handle_fetch_many);
-  bindm(rpc::kGlobeDocSecurity, kGetPublicKey, &ObjectServer::handle_get_public_key);
+  bindm(rpc::kGlobeDocSecurity, kGetPublicKey,
+        oid_request("server.get_public_key",
+                    [](const ReplicaState& state) { return state.public_key; }));
   bindm(rpc::kGlobeDocSecurity, kGetIntegrityCert,
-        &ObjectServer::handle_get_integrity_cert);
+        oid_request("server.get_integrity_cert", [](const ReplicaState& state) {
+          return state.certificate.serialize();
+        }));
   bindm(rpc::kGlobeDocSecurity, kGetIdentityCerts,
-        &ObjectServer::handle_get_identity_certs);
+        oid_request("server.get_identity_certs", [](const ReplicaState& state) {
+          return serialize_identity_list(state.identity_certs);
+        }));
   bindm(rpc::kGlobeDocAdmin, kChallenge, &ObjectServer::handle_challenge);
   dispatcher.register_method(rpc::kGlobeDocAdmin, kCreateReplica,
                              [this](net::ServerContext& ctx, BytesView payload) {
@@ -303,7 +358,8 @@ void ObjectServer::register_with(rpc::ServiceDispatcher& dispatcher) {
   bindm(rpc::kGlobeDocAdmin, kNegotiate, &ObjectServer::handle_negotiate);
 }
 
-Result<Bytes> ObjectServer::handle_negotiate(net::ServerContext&, BytesView payload) {
+Result<Bytes> ObjectServer::handle_negotiate(net::ServerContext& ctx,
+                                            BytesView payload) {
   try {
     util::Reader r(payload);
     std::uint64_t bytes = r.u64();
@@ -311,6 +367,7 @@ Result<Bytes> ObjectServer::handle_negotiate(net::ServerContext&, BytesView payl
     r.expect_end();
 
     util::LockGuard lock(mutex_);
+    expire_leases_locked(ctx.now());
     HostingGrant grant = check_capacity_locked(bytes, nullptr);
     if (grant.accepted) {
       if (limits_.max_lease == 0) {
@@ -331,17 +388,15 @@ Result<Bytes> ObjectServer::handle_get_element(net::ServerContext& ctx,
   requests_counter_->inc();
   try {
     util::Reader r(payload);
-    auto oid = read_oid(r);
+    auto oid = Oid::from_bytes(r.raw(Oid::kSize));
     if (!oid.is_ok()) return oid.status();
     std::string name = r.str();
     r.expect_end();
 
     util::LockGuard lock(mutex_);
-    auto it = replicas_.find(*oid);
-    if (it == replicas_.end() || lease_expired_locked(*oid, ctx.now())) {
-      return Result<Bytes>(ErrorCode::kNotFound, "no replica of " + oid->to_hex());
-    }
-    const PageElement* el = it->second.find(name);
+    auto state = live_locked(*oid, ctx.now());
+    if (!state.is_ok()) return state.status();
+    const PageElement* el = (*state)->find(name);
     if (el == nullptr) {
       return Result<Bytes>(ErrorCode::kNotFound, "no element '" + name + "'");
     }
@@ -364,19 +419,16 @@ Result<Bytes> ObjectServer::handle_fetch_many(net::ServerContext& ctx,
   if (!req.is_ok()) return req.status();
 
   util::LockGuard lock(mutex_);
-  auto it = replicas_.find(req->oid);
-  if (it == replicas_.end() || lease_expired_locked(req->oid, ctx.now())) {
-    return Result<Bytes>(ErrorCode::kNotFound,
-                         "no replica of " + req->oid.to_hex());
-  }
+  auto state = live_locked(req->oid, ctx.now());
+  if (!state.is_ok()) return state.status();
   FetchManyResponse resp;
   if (req->include_cert) {
-    resp.certificate = it->second.certificate.serialize();
+    resp.certificate = (*state)->certificate.serialize();
   }
   resp.items.reserve(req->names.size());
   for (const auto& name : req->names) {
     FetchManyResponse::Item item;
-    const PageElement* el = it->second.find(name);
+    const PageElement* el = (*state)->find(name);
     if (el != nullptr) {
       item.found = true;
       item.element = el->serialize();
@@ -390,89 +442,19 @@ Result<Bytes> ObjectServer::handle_fetch_many(net::ServerContext& ctx,
   return resp.serialize();
 }
 
-Result<Bytes> ObjectServer::handle_list_elements(net::ServerContext& ctx,
-                                                 BytesView payload) {
+Result<Bytes> ObjectServer::serve_oid_request(net::ServerContext& ctx,
+                                              BytesView payload, const char* probe,
+                                              Bytes (*reply)(const ReplicaState&)) {
+  GLOBE_PROFILE_SCOPE(probe);
   requests_counter_->inc();
-  try {
-    util::Reader r(payload);
-    auto oid = read_oid(r);
-    if (!oid.is_ok()) return oid.status();
-    r.expect_end();
-
-    util::LockGuard lock(mutex_);
-    auto it = replicas_.find(*oid);
-    if (it == replicas_.end() || lease_expired_locked(*oid, ctx.now())) {
-      return Result<Bytes>(ErrorCode::kNotFound, "no replica of " + oid->to_hex());
-    }
-    util::Writer w;
-    w.u32(static_cast<std::uint32_t>(it->second.elements.size()));
-    for (const auto& el : it->second.elements) w.str(el.name);
-    return w.take();
-  } catch (const util::SerialError& e) {
-    return Result<Bytes>(ErrorCode::kProtocol, e.what());
+  if (payload.size() != Oid::kSize) {
+    return Result<Bytes>(ErrorCode::kProtocol, "request must be an OID");
   }
-}
-
-Result<Bytes> ObjectServer::handle_get_public_key(net::ServerContext& ctx,
-                                                  BytesView payload) {
-  GLOBE_PROFILE_SCOPE("server.get_public_key");
-  requests_counter_->inc();
-  try {
-    util::Reader r(payload);
-    auto oid = read_oid(r);
-    if (!oid.is_ok()) return oid.status();
-    r.expect_end();
-    util::LockGuard lock(mutex_);
-    auto it = replicas_.find(*oid);
-    if (it == replicas_.end() || lease_expired_locked(*oid, ctx.now())) {
-      return Result<Bytes>(ErrorCode::kNotFound, "no replica of " + oid->to_hex());
-    }
-    return it->second.public_key;
-  } catch (const util::SerialError& e) {
-    return Result<Bytes>(ErrorCode::kProtocol, e.what());
-  }
-}
-
-Result<Bytes> ObjectServer::handle_get_integrity_cert(net::ServerContext& ctx,
-                                                      BytesView payload) {
-  GLOBE_PROFILE_SCOPE("server.get_integrity_cert");
-  requests_counter_->inc();
-  try {
-    util::Reader r(payload);
-    auto oid = read_oid(r);
-    if (!oid.is_ok()) return oid.status();
-    r.expect_end();
-    util::LockGuard lock(mutex_);
-    auto it = replicas_.find(*oid);
-    if (it == replicas_.end() || lease_expired_locked(*oid, ctx.now())) {
-      return Result<Bytes>(ErrorCode::kNotFound, "no replica of " + oid->to_hex());
-    }
-    return it->second.certificate.serialize();
-  } catch (const util::SerialError& e) {
-    return Result<Bytes>(ErrorCode::kProtocol, e.what());
-  }
-}
-
-Result<Bytes> ObjectServer::handle_get_identity_certs(net::ServerContext& ctx,
-                                                      BytesView payload) {
-  requests_counter_->inc();
-  try {
-    util::Reader r(payload);
-    auto oid = read_oid(r);
-    if (!oid.is_ok()) return oid.status();
-    r.expect_end();
-    util::LockGuard lock(mutex_);
-    auto it = replicas_.find(*oid);
-    if (it == replicas_.end() || lease_expired_locked(*oid, ctx.now())) {
-      return Result<Bytes>(ErrorCode::kNotFound, "no replica of " + oid->to_hex());
-    }
-    util::Writer w;
-    w.u32(static_cast<std::uint32_t>(it->second.identity_certs.size()));
-    for (const auto& cert : it->second.identity_certs) w.bytes(cert.serialize());
-    return w.take();
-  } catch (const util::SerialError& e) {
-    return Result<Bytes>(ErrorCode::kProtocol, e.what());
-  }
+  const Oid oid = Oid::from_bytes(payload).value();
+  util::LockGuard lock(mutex_);
+  auto state = live_locked(oid, ctx.now());
+  if (!state.is_ok()) return state.status();
+  return reply(**state);
 }
 
 Result<Bytes> ObjectServer::handle_challenge(net::ServerContext&, BytesView payload) {
@@ -560,43 +542,12 @@ Result<Bytes> ObjectServer::handle_create_or_update(net::ServerContext& ctx,
     Oid oid = state->certificate.oid();
 
     util::LockGuard lock(mutex_);
-    auto cit = creators_.find(oid);
-    if (create) {
-      if (cit != creators_.end()) {
-        return Result<Bytes>(ErrorCode::kAlreadyExists,
-                             "replica exists: " + oid.to_hex());
-      }
-      creators_[oid] = *auth;
-    } else {
-      if (cit == creators_.end()) {
-        return Result<Bytes>(ErrorCode::kNotFound, "no replica of " + oid.to_hex());
-      }
-      if (cit->second != *auth) {
-        return Result<Bytes>(ErrorCode::kPermissionDenied,
-                             "only the creating entity may manage this replica");
-      }
-      // Refuse version rollback: a stale (but correctly signed) state must
-      // not replace a newer one through the admin path.
-      if (state->certificate.version() <
-          replicas_[oid].certificate.version()) {
-        return Result<Bytes>(ErrorCode::kInvalidArgument,
-                             "state version older than the hosted replica");
-      }
-    }
-    // Resource policy (paper §6 extension): enforce the administrator's
-    // limits and start the hosting lease.
-    HostingGrant grant =
-        check_capacity_locked(state->content_bytes(), create ? nullptr : &oid);
-    if (!grant.accepted) {
-      if (create) creators_.erase(oid);
-      return Result<Bytes>(ErrorCode::kUnavailable, "hosting refused: " + grant.reason);
-    }
-    if (grant.lease != 0) {
-      lease_until_[oid] = ctx.now() + grant.lease;
-    } else {
-      lease_until_.erase(oid);
-    }
-    install_locked(oid, std::move(*state), ctx.now());
+    // A lapsed lease frees its slot and its OID before the checks below.
+    expire_leases_locked(ctx.now());
+    Status installed =
+        install_locked(std::move(*state), ctx.now(),
+                       create ? Install::kCreate : Install::kUpdate, *auth);
+    if (!installed.is_ok()) return installed;
     replica_installs_->inc();
     obs::global_event_log().emit(obs::EventLevel::kInfo, "server",
                                  "replica_install",
@@ -627,18 +578,13 @@ Result<Bytes> ObjectServer::handle_delete(net::ServerContext& ctx, BytesView pay
     if (!oid.is_ok()) return oid.status();
 
     util::LockGuard lock(mutex_);
-    auto cit = creators_.find(*oid);
-    if (cit == creators_.end()) {
-      return Result<Bytes>(ErrorCode::kNotFound, "no replica of " + oid->to_hex());
-    }
-    if (cit->second != *auth) {
+    auto it = hosted_.find(*oid);
+    if (it == hosted_.end() || it->second.creator.empty()) return not_hosted(*oid);
+    if (it->second.creator != *auth) {
       return Result<Bytes>(ErrorCode::kPermissionDenied,
                            "only the creating entity may manage this replica");
     }
-    creators_.erase(cit);
-    replicas_.erase(*oid);
-    installed_at_.erase(*oid);
-    lease_until_.erase(*oid);
+    hosted_.erase(it);
     replica_deletes_->inc();
     obs::global_event_log().emit(obs::EventLevel::kInfo, "server",
                                  "replica_delete", name_ + ": " + oid->to_hex(),
@@ -656,8 +602,8 @@ Result<Bytes> ObjectServer::handle_list_replicas(net::ServerContext&,
   }
   util::LockGuard lock(mutex_);
   util::Writer w;
-  w.u32(static_cast<std::uint32_t>(replicas_.size()));
-  for (const auto& [oid, state] : replicas_) w.raw(oid.to_bytes());
+  w.u32(static_cast<std::uint32_t>(hosted_.size()));
+  for (const auto& [oid, record] : hosted_) w.raw(oid.to_bytes());
   return w.take();
 }
 

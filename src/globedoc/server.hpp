@@ -108,15 +108,21 @@ class ObjectServer {
   std::size_t replica_count() const GLOBE_EXCLUDES(mutex_);
   bool hosts(const Oid& oid) const GLOBE_EXCLUDES(mutex_);
 
-  /// Installs a replica bypassing admin *auth* (local bootstrap in tests
-  /// and the pull path, both of which hold an already-verified state).
-  /// Trusted sink: the state is hosted and served as-is, so it must have
-  /// passed ReplicaState::verify() when it crossed a trust boundary.
-  /// `now` stamps the install time for the freshness probe; callers off the
-  /// network path (test bootstrap at t=0) may leave it defaulted.
-  void install_replica_unchecked(GLOBE_TRUSTED_SINK const ReplicaState& state,
+  /// Installs a replica bypassing admin auth and the resource policy (local
+  /// bootstrap in tests and the pull path, both of which hold an
+  /// already-verified state).  Trusted sink: it must have passed
+  /// ReplicaState::verify() when it crossed a trust boundary.  An existing
+  /// record keeps its creator and lease; a state older than the hosted one
+  /// is refused (false, nothing changed).  `now` stamps the install time for
+  /// the freshness probe; bootstrap at t=0 may leave it defaulted.
+  bool install_replica_unchecked(GLOBE_TRUSTED_SINK const ReplicaState& state,
                                  util::SimTime now = 0)
       GLOBE_EXCLUDES(mutex_);
+
+  /// Hosted version and earliest certificate expiry of an OID (both 0 when
+  /// not hosted): what the freshness maintainer reads every tick.
+  struct HostedVersion { std::uint64_t version = 0; util::SimTime earliest_expiry = 0; };
+  HostedVersion hosted_version(const Oid& oid) const GLOBE_EXCLUDES(mutex_);
 
   /// Per-OID (epoch, content digest, certificate expiry horizon) for the
   /// consistency observatory (DESIGN.md §16): epoch is the hosted
@@ -134,7 +140,8 @@ class ObjectServer {
   /// Content bytes currently hosted across all replicas.
   std::uint64_t hosted_bytes() const GLOBE_EXCLUDES(mutex_);
   /// Drops replicas whose lease expired at or before `now`; returns how
-  /// many were evicted.  Also applied lazily on every access.
+  /// many were evicted.  Also lazy: reads refuse a lapsed replica, and admin
+  /// create, update and negotiate evict lapsed replicas first.
   std::size_t expire_leases(util::SimTime now) GLOBE_EXCLUDES(mutex_);
 
   /// Serving statistics.
@@ -160,16 +167,8 @@ class ObjectServer {
   // and are tainted at entry (GLOBE_UNTRUSTED in parameter position).
   util::Result<util::Bytes> handle_get_element(net::ServerContext&,
                                                GLOBE_UNTRUSTED util::BytesView);
-  util::Result<util::Bytes> handle_list_elements(net::ServerContext&,
-                                                 GLOBE_UNTRUSTED util::BytesView);
   util::Result<util::Bytes> handle_fetch_many(net::ServerContext&,
                                               GLOBE_UNTRUSTED util::BytesView);
-  util::Result<util::Bytes> handle_get_public_key(net::ServerContext&,
-                                                  GLOBE_UNTRUSTED util::BytesView);
-  util::Result<util::Bytes> handle_get_integrity_cert(net::ServerContext&,
-                                                      GLOBE_UNTRUSTED util::BytesView);
-  util::Result<util::Bytes> handle_get_identity_certs(net::ServerContext&,
-                                                      GLOBE_UNTRUSTED util::BytesView);
   util::Result<util::Bytes> handle_challenge(net::ServerContext&,
                                              GLOBE_UNTRUSTED util::BytesView);
   util::Result<util::Bytes> handle_create_or_update(net::ServerContext&,
@@ -182,21 +181,51 @@ class ObjectServer {
   util::Result<util::Bytes> handle_negotiate(net::ServerContext&,
                                              GLOBE_UNTRUSTED util::BytesView);
 
+  /// Everything this server records about one hosted OID.
+  struct Hosted {
+    ReplicaState state;
+    util::SimTime installed_at = 0;  // freshness probe input
+    util::Bytes creator;             // admin key; empty = pulled or bootstrapped
+    util::SimTime lease_until = 0;   // 0 = no lease
+    bool lapsed(util::SimTime now) const { return lease_until != 0 && lease_until <= now; }
+  };
+
+  enum class Install { kPull, kCreate, kUpdate };
+
+  /// The one place replica state enters hosted_.  kCreate/kUpdate check
+  /// `admin_key` ownership and the resource policy and restart the lease;
+  /// kPull keeps the record's creator and lease.  Every kind refuses a
+  /// rollback, and a refusal leaves hosted_ untouched.  Trusted sink:
+  /// callers on a network path must have run ReplicaState::verify() first.
+  util::Status install_locked(GLOBE_TRUSTED_SINK ReplicaState state,
+                              util::SimTime now, Install kind,
+                              const util::Bytes& admin_key = {})
+      GLOBE_REQUIRES(mutex_);
+
+  /// The state served for `oid` at `now`: kNotFound when it is not hosted
+  /// or its lease has lapsed.
+  util::Result<const ReplicaState*> live_locked(const Oid& oid,
+                                                util::SimTime now) const
+      GLOBE_REQUIRES(mutex_);
+
+  /// Decodes an {oid20} request and answers it with `reply` applied to the
+  /// live state of that OID, under the cost probe `probe`.
+  util::Result<util::Bytes> serve_oid_request(
+      net::ServerContext& ctx, GLOBE_UNTRUSTED util::BytesView payload,
+      const char* probe, util::Bytes (*reply)(const ReplicaState&))
+      GLOBE_EXCLUDES(mutex_);
+
+  std::size_t expire_leases_locked(util::SimTime now) GLOBE_REQUIRES(mutex_);
+
+  /// Content bytes hosted across all replicas except `except`.
+  std::uint64_t hosted_bytes_locked(const Oid* except = nullptr) const
+      GLOBE_REQUIRES(mutex_);
+
   /// Checks the resource policy for a replica of `bytes` content bytes
   /// (excluding `existing_oid`'s current usage when updating).  Returns an
-  /// accepted grant or a rejection with a reason.  Caller holds mutex_.
+  /// accepted grant or a rejection with a reason.
   HostingGrant check_capacity_locked(std::uint64_t bytes,
                                      const Oid* existing_oid) const
-      GLOBE_REQUIRES(mutex_);
-
-  /// Removes a replica whose lease has passed; caller holds mutex_.
-  [[nodiscard]] bool lease_expired_locked(const Oid& oid, util::SimTime now) const
-      GLOBE_REQUIRES(mutex_);
-
-  /// The one place replica state enters the hosted set.  Trusted sink:
-  /// callers on a network path must have run ReplicaState::verify() first.
-  void install_locked(const Oid& oid, GLOBE_TRUSTED_SINK ReplicaState state,
-                      util::SimTime now)
       GLOBE_REQUIRES(mutex_);
 
   /// Validates (nonce, pubkey, signature) against the keystore; returns the
@@ -218,13 +247,7 @@ class ObjectServer {
   std::set<util::Bytes> outstanding_nonces_ GLOBE_BOUNDED GLOBE_GUARDED_BY(mutex_);
   // FIFO for bounded nonce eviction
   std::deque<util::Bytes> nonce_order_ GLOBE_BOUNDED GLOBE_GUARDED_BY(mutex_);
-  std::map<Oid, ReplicaState> replicas_ GLOBE_GUARDED_BY(mutex_);
-  // oid -> when its current state was installed (freshness probe input)
-  std::map<Oid, util::SimTime> installed_at_ GLOBE_GUARDED_BY(mutex_);
-  // oid -> serialized creator key
-  std::map<Oid, util::Bytes> creators_ GLOBE_GUARDED_BY(mutex_);
-  // absent = unlimited
-  std::map<Oid, util::SimTime> lease_until_ GLOBE_GUARDED_BY(mutex_);
+  std::map<Oid, Hosted> hosted_ GLOBE_BOUNDED GLOBE_GUARDED_BY(mutex_);
   ResourceLimits limits_ GLOBE_GUARDED_BY(mutex_);
   std::size_t elements_served_ GLOBE_GUARDED_BY(mutex_) = 0;
   std::uint64_t content_bytes_served_ GLOBE_GUARDED_BY(mutex_) = 0;

@@ -1,7 +1,5 @@
 #include "replication/maintainer.hpp"
 
-#include <algorithm>
-
 #include "obs/log.hpp"
 #include "util/log.hpp"
 
@@ -37,31 +35,28 @@ ReplicaMaintainer::ReplicaMaintainer(globedoc::ObjectServer& server,
 }
 
 void ReplicaMaintainer::track(const globedoc::Oid& oid,
-                              std::vector<net::Endpoint> sources,
-                              std::uint64_t version,
-                              util::SimTime earliest_expiry) {
-  entries_[oid] = Entry{std::move(sources), version, earliest_expiry};
+                              std::vector<net::Endpoint> sources) {
+  entries_[oid] = std::move(sources);
 }
 
 void ReplicaMaintainer::untrack(const globedoc::Oid& oid) { entries_.erase(oid); }
 
 ReplicaMaintainer::TickReport ReplicaMaintainer::tick(util::SimTime now) {
   TickReport report;
-  for (auto& [oid, entry] : entries_) {
+  for (const auto& [oid, sources] : entries_) {
     ++report.checked;
-    if (entry.earliest_expiry > now + config_.refresh_margin) continue;
+    const auto hosted = server_->hosted_version(oid);
+    if (hosted.earliest_expiry > now + config_.refresh_margin) continue;
 
     bool refreshed = false;
     util::Status last_failure = util::Status::ok();
-    for (const auto& source : entry.sources) {
+    for (const auto& source : sources) {
       // Pull accepts any strictly newer, fully verified state.  Passing
       // version-1 tolerates sources at the same version re-signed with a
       // fresh window — re-installing an equal version is the refresh case.
       auto result = pull_replica(*transport_, source, oid, *server_,
-                                 entry.version == 0 ? 0 : entry.version - 1);
+                                 hosted.version == 0 ? 0 : hosted.version - 1);
       if (result.is_ok()) {
-        entry.version = result->version;
-        entry.earliest_expiry = result->earliest_expiry;
         refreshed = true;
         ++report.refreshed;
         GLOBE_LOG_INFO("maintainer", "refreshed ", oid.to_hex(), " to v",

@@ -32,10 +32,11 @@ class ReplicaMaintainer {
   ReplicaMaintainer(globedoc::ObjectServer& server, net::Transport& transport)
       : ReplicaMaintainer(server, transport, Config{}) {}
 
-  /// Registers a replica to maintain: where to pull it from (tried in
-  /// order) and the currently hosted state's version + earliest expiry.
-  void track(const globedoc::Oid& oid, std::vector<net::Endpoint> sources,
-             std::uint64_t version, util::SimTime earliest_expiry);
+  /// Registers a replica to maintain and where to pull it from (tried in
+  /// order).  The hosted version and expiry are read from the server on
+  /// every tick, so a refresh that reached the server some other way (an
+  /// owner push, a manual pull) is never rolled back to a stale source.
+  void track(const globedoc::Oid& oid, std::vector<net::Endpoint> sources);
   void untrack(const globedoc::Oid& oid);
   std::size_t tracked() const { return entries_.size(); }
 
@@ -46,22 +47,18 @@ class ReplicaMaintainer {
   };
 
   /// Runs one maintenance pass at time `now`: every tracked replica whose
-  /// window ends within refresh_margin is re-pulled from its sources.
+  /// hosted window ends within refresh_margin (or that the server no longer
+  /// hosts) is re-pulled from its sources.
   /// A replica whose every source fails is counted in `failed` and retried
   /// on the next tick.
   TickReport tick(util::SimTime now);
 
  private:
-  struct Entry {
-    std::vector<net::Endpoint> sources;
-    std::uint64_t version = 0;
-    util::SimTime earliest_expiry = 0;
-  };
-
   globedoc::ObjectServer* server_;
   net::Transport* transport_;
   Config config_;
-  std::map<globedoc::Oid, Entry> entries_;
+  // oid -> pull sources, tried in order
+  std::map<globedoc::Oid, std::vector<net::Endpoint>> entries_;
   obs::Counter* checked_counter_;
   obs::Counter* refreshed_counter_;
   // replication.maintainer.failed split by reason= so operators can tell a

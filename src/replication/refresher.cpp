@@ -125,31 +125,22 @@ Result<PullResult> pull_replica(net::Transport& transport,
   // against their own trust stores; a peer cannot forge ones that matter).
   auto ids_raw = peer.call(rpc::kGlobeDocSecurity, globedoc::kGetIdentityCerts,
                            oid_req.buffer());
-  if (ids_raw.is_ok()) {
-    try {
-      util::Reader r(*ids_raw);
-      std::uint32_t n = r.u32();
-      for (std::uint32_t i = 0; i < n && i < 64; ++i) {
-        auto cert = globedoc::IdentityCertificate::parse(r.bytes());
-        if (cert.is_ok()) state.identity_certs.push_back(std::move(*cert));
-      }
-    } catch (const util::SerialError&) {
-      // Malformed identity list: drop it, the core state is already verified.
-      state.identity_certs.clear();
-    }
-  }
+  if (ids_raw.is_ok()) state.identity_certs = globedoc::parse_identity_list(*ids_raw);
 
+  // The install itself refuses a state older than the one `local` hosts,
+  // whatever `local_version` the caller passed.
+  if (!local.install_replica_unchecked(state, transport.now())) {
+    return Result<PullResult>(ErrorCode::kInvalidArgument,
+                              "peer state v" +
+                                  std::to_string(certificate->version()) +
+                                  " is older than the local replica");
+  }
   PullResult result;
   result.version = state.certificate.version();
   result.elements = state.elements.size();
   result.content_bytes = state.content_bytes();
-  for (const auto& entry : state.certificate.entries()) {
-    result.earliest_expiry = result.earliest_expiry == 0
-                                 ? entry.expires
-                                 : std::min(result.earliest_expiry, entry.expires);
-  }
+  result.earliest_expiry = state.certificate.earliest_expiry();
   result.installed = true;
-  local.install_replica_unchecked(state, transport.now());
   obs::global_event_log().emit(
       obs::EventLevel::kInfo, "replication", "pull_installed",
       oid.to_hex() + " v" + std::to_string(result.version) + " from " +

@@ -36,7 +36,8 @@ struct PullResult {
 ///   BAD_SIGNATURE  — certificate signature invalid
 ///   HASH_MISMATCH  — some element does not match its certificate entry
 ///   EXPIRED        — the fetched certificate is already stale
-///   INVALID_ARGUMENT — source state is not newer than local_version
+///   INVALID_ARGUMENT — source state is not newer than local_version, or is
+///                      older than the state `local` hosts (never rolled back)
 GLOBE_BLOCKING util::Result<PullResult> pull_replica(net::Transport& transport,
                                       const net::Endpoint& source,
                                       const globedoc::Oid& oid,

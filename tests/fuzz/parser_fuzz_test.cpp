@@ -31,6 +31,7 @@ void feed_all_parsers(BytesView data) {
   (void)globedoc::ReplicaState::parse(data);
   (void)globedoc::IntegrityCertificate::parse(data);
   (void)globedoc::IdentityCertificate::parse(data);
+  (void)globedoc::parse_identity_list(data);
   (void)globedoc::DynamicReceipt::parse(data);
   (void)globedoc::HostingGrant::parse(data);
   (void)globedoc::Oid::from_bytes(data);
@@ -101,6 +102,10 @@ std::vector<Bytes> valid_encodings() {
   grant.accepted = true;
   grant.lease = 12345;
   out.push_back(grant.serialize());
+
+  out.push_back(globedoc::serialize_identity_list(
+      {ca.issue("Subject Org", oid, util::seconds(99)),
+       ca.issue("Other Org", oid, util::seconds(99))}));
 
   naming::OidRecord oid_record;
   oid_record.name = "doc.vu.nl";
@@ -182,13 +187,14 @@ TEST(FuzzSanity, ValidEncodingsActuallyParse) {
   // Guards the corpus itself: each valid encoding must parse by at least
   // its own parser (otherwise the mutation fuzz would be vacuous).
   auto corpus = valid_encodings();
-  EXPECT_GE(corpus.size(), 14u);
+  EXPECT_GE(corpus.size(), 15u);
   EXPECT_TRUE(globedoc::PageElement::parse(corpus[0]).is_ok());
   EXPECT_TRUE(globedoc::ReplicaState::parse(corpus[1]).is_ok());
   EXPECT_TRUE(globedoc::IntegrityCertificate::parse(corpus[2]).is_ok());
   EXPECT_TRUE(globedoc::IdentityCertificate::parse(corpus[3]).is_ok());
   EXPECT_TRUE(globedoc::DynamicReceipt::parse(corpus[4]).is_ok());
   EXPECT_TRUE(globedoc::HostingGrant::parse(corpus[5]).is_ok());
+  EXPECT_EQ(globedoc::parse_identity_list(corpus[6]).size(), 2u);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "globedoc/integrity.hpp"
 #include "globedoc/object.hpp"
 #include "naming/records.hpp"
+#include "tests/fuzz/object_server_fixture.hpp"
 #include "util/serial.hpp"
 
 namespace fs = std::filesystem;
@@ -139,6 +140,61 @@ int main(int argc, char** argv) {
       write_file(root / "fetch_many" / "response_forged_count.bin",
                  tag(0x01, rw.take()));
     }
+  }
+
+  // --- object_server seeds -------------------------------------------------
+  // The harness reads a method selector first (an index into
+  // kObjectServerMethods); every method gets one well-formed payload aimed
+  // at the hosted replica.
+  {
+    using globe::globedoc::FetchManyRequest;
+    using globe::globedoc::Oid;
+    using globe::util::Writer;
+    fs::create_directories(root / "object_server");
+    const globe::globedoc::ReplicaState state = globe::fuzz::hosted_state();
+    const Bytes oid = state.certificate.oid().to_bytes();
+    auto seed = [&root](const char* name, std::uint8_t selector,
+                        const Bytes& payload) {
+      Bytes out{selector};
+      out.insert(out.end(), payload.begin(), payload.end());
+      write_file(root / "object_server" / name, out);
+    };
+    auto admin_request = [](const Bytes& signed_payload) {
+      Writer w;
+      w.bytes(Bytes(16, 0x01));  // a nonce the server never issued
+      w.bytes(globe::util::to_bytes("pubkey"));
+      w.bytes(Bytes(64, 0xAA));
+      w.raw(signed_payload);
+      return w.take();
+    };
+
+    Writer get_element;
+    get_element.raw(oid);
+    get_element.str("index.html");
+    seed("get_element.bin", 0, get_element.take());
+    seed("list_elements.bin", 1, oid);
+    FetchManyRequest batch;
+    batch.oid = state.certificate.oid();
+    batch.include_cert = true;
+    batch.names = {"index.html", "logo.gif", "ghost.html"};
+    seed("fetch_many.bin", 2, batch.serialize());
+    seed("get_public_key.bin", 3, oid);
+    seed("get_integrity_cert.bin", 4, oid);
+    seed("get_identity_certs.bin", 5, oid);
+    seed("get_public_key_unknown_oid.bin", 3, Bytes(Oid::kSize, 0xEE));
+    seed("challenge.bin", 6, Bytes{});
+    Writer state_payload;
+    state_payload.bytes(state.serialize());
+    Bytes state_wire = state_payload.take();
+    seed("create_replica.bin", 7, admin_request(state_wire));
+    seed("update_replica.bin", 8, admin_request(state_wire));
+    seed("delete_replica.bin", 9, admin_request(oid));
+    seed("list_replicas.bin", 10, Bytes{});
+    Writer negotiate;
+    negotiate.u64(4096);
+    negotiate.u64(globe::util::seconds(60));
+    seed("negotiate.bin", 11, negotiate.take());
+    write_file(root / "object_server" / "empty.bin", Bytes{});
   }
 
   // --- naming_record seeds -------------------------------------------------

@@ -182,6 +182,26 @@ TEST_F(HostingFixture, LeaseExpiryStopsServingAndEvicts) {
   EXPECT_EQ(server->hosted_bytes(), 0u);
 }
 
+TEST_F(HostingFixture, LapsedLeaseFreesItsSlotAndItsOid) {
+  // A replica whose lease lapsed is refused to readers; it must not keep
+  // holding a replica slot or its OID until someone calls expire_leases().
+  ResourceLimits limits;
+  limits.max_replicas = 1;
+  limits.max_lease = util::seconds(100);
+  server->set_resource_limits(limits);
+  auto client = admin();
+
+  ReplicaState a = make_state(160, 100);
+  ASSERT_TRUE(client.create_replica(a).is_ok());
+  flow->advance(util::seconds(200));
+  // A's lapsed lease no longer fills the only slot...
+  EXPECT_TRUE(client.create_replica(make_state(161, 100)).is_ok());
+  // ...and once B's lease lapses too, A's OID can be created again.
+  flow->advance(util::seconds(200));
+  EXPECT_TRUE(client.create_replica(a).is_ok());
+  EXPECT_EQ(server->replica_count(), 1u);
+}
+
 TEST_F(HostingFixture, RefusedCreateCanBeRetriedElsewhere) {
   // After a refusal the creator slot must not be poisoned: a later create
   // within limits succeeds.

@@ -3,6 +3,7 @@
 #include "crypto/drbg.hpp"
 #include "globedoc/identity.hpp"
 #include "globedoc/object.hpp"
+#include "util/serial.hpp"
 
 namespace globe::globedoc {
 namespace {
@@ -85,6 +86,29 @@ TEST_F(IdentityFixture, FirstTrustedSubjectScansList) {
   EXPECT_EQ(*subject, "Vrije Universiteit");  // first match wins (paper §3.1.2)
   EXPECT_FALSE(trust.first_trusted_subject({certs[0]}, oid, 0).has_value());
   EXPECT_FALSE(trust.first_trusted_subject({}, oid, 0).has_value());
+}
+
+TEST_F(IdentityFixture, IdentityListReaderIsLenient) {
+  auto cert = ca.issue("Vrije Universiteit", oid, util::seconds(100));
+  Bytes list = serialize_identity_list({cert, cert});
+  ASSERT_EQ(parse_identity_list(list).size(), 2u);
+
+  // A certificate that does not parse is skipped, the rest survive.
+  util::Writer with_junk;
+  with_junk.u32(2);
+  with_junk.bytes(to_bytes("junk"));
+  with_junk.bytes(cert.serialize());
+  auto kept = parse_identity_list(with_junk.buffer());
+  ASSERT_EQ(kept.size(), 1u);
+  EXPECT_EQ(kept[0].subject, cert.subject);
+
+  // A truncated list, or one claiming more than the protocol ceiling,
+  // reads as empty.
+  EXPECT_TRUE(parse_identity_list(Bytes(list.begin(), list.end() - 1)).empty());
+  util::Writer oversized;
+  oversized.u32(static_cast<std::uint32_t>(kMaxIdentityCerts + 1));
+  for (std::size_t i = 0; i <= kMaxIdentityCerts; ++i) oversized.bytes(cert.serialize());
+  EXPECT_TRUE(parse_identity_list(oversized.buffer()).empty());
 }
 
 TEST_F(IdentityFixture, TrustStoreManagement) {

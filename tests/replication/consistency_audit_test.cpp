@@ -114,7 +114,7 @@ TEST_F(AuditFixture, LinkDownReplicaClassifiesStaleNotDivergedAndRecovers) {
   config.registry = &maintainer_registry;
   ReplicaMaintainer maintainer(*mirror, *tick_flow, config);
   net::Endpoint dead{infra_host, 9998};
-  maintainer.track(oid(), {dead}, seed.version, seed.earliest_expiry);
+  maintainer.track(oid(), {dead});
 
   util::SimTime bump = util::seconds(100);
   publish_flow->set_time(bump);
@@ -155,7 +155,7 @@ TEST_F(AuditFixture, LinkDownReplicaClassifiesStaleNotDivergedAndRecovers) {
 
   // Link restored: the next tick pulls the re-signed state and the fleet
   // converges back to fresh.
-  maintainer.track(oid(), {server_ep}, seed.version, seed.earliest_expiry);
+  maintainer.track(oid(), {server_ep});
   tick_flow->set_time(bump + util::seconds(60));
   EXPECT_EQ(maintainer.tick(tick_flow->now()).refreshed, 1u);
   audit_flow->set_time(bump + util::seconds(60));

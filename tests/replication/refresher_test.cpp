@@ -60,6 +60,25 @@ TEST_F(RefresherFixture, RefusesStaleVersion) {
   EXPECT_EQ(again.code(), ErrorCode::kInvalidArgument);
 }
 
+TEST_F(RefresherFixture, PullNeverRollsBackANewerLocalReplica) {
+  // pull_replica's local_version is the caller's claim; a stale or zero
+  // claim must not let an older peer state replace a newer hosted one.
+  ASSERT_TRUE(pull_replica(*pull_flow, server_ep, oid(), *peer_server, 0).is_ok());
+  ObjectServer mirror("mirror", 94);
+  ASSERT_TRUE(pull_replica(*pull_flow, server_ep, oid(), mirror, 0).is_ok());
+  ASSERT_TRUE(owner
+                  ->refresh_replicas(*publish_flow, pull_flow->now(),
+                                     util::seconds(3600))
+                  .is_ok());
+  ASSERT_TRUE(pull_replica(*pull_flow, server_ep, oid(), mirror, 1).is_ok());
+  ASSERT_EQ(mirror.hosted_version(oid()).version, 2u);
+
+  // The peer still holds v1.
+  EXPECT_EQ(pull_replica(*pull_flow, peer_ep, oid(), mirror, 0).code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(mirror.hosted_version(oid()).version, 2u);
+}
+
 TEST_F(RefresherFixture, PullsNewerVersionAfterOwnerUpdate) {
   ASSERT_TRUE(pull_replica(*pull_flow, server_ep, oid(), *peer_server, 0).is_ok());
   owner->object().put_element(
