@@ -5,21 +5,6 @@
 #include "util/clock.hpp"
 
 namespace globe::cache {
-namespace {
-
-// Same bucket layout as proxy.fetch_ms so hit-vs-fill latency lines up on
-// one dashboard.  The sub-millisecond bounds exist for cache hits, which
-// cost memcopy time only — with a 1 ms smallest bucket every hit quantile
-// collapses to 0.
-const std::vector<double>& fill_ms_bounds() {
-  static const std::vector<double> kBounds = {0.05, 0.1, 0.2, 0.5,  1,
-                                              2,    5,   10,  20,   50,
-                                              100,  200, 500, 1000, 2000, 5000};
-  return kBounds;
-}
-
-}  // namespace
-
 EdgeCacheTier::EdgeCacheTier(TierConfig config)
     : config_(config),
       cache_(config.cache),
@@ -37,7 +22,7 @@ EdgeCacheTier::EdgeCacheTier(TierConfig config)
         &reg.counter("cache.evictions", {{"reason", "explicit"}});
     delayed_pulls_ = &reg.counter("cache.delayed_pulls");
     delayed_dropped_ = &reg.counter("cache.delayed_dropped");
-    fill_ms_ = &reg.histogram("cache.fill_ms", fill_ms_bounds());
+    fill_ms_ = &reg.histogram("cache.fill_ms", obs::latency_ms_bounds());
   }
   // Runs under the cache lock; replicator_.cancel takes only the replicator
   // lock, so the tier-wide lock order is cache → replicator.
@@ -163,7 +148,7 @@ util::Result<EdgeCacheTier::EdgeFill> EdgeCacheTier::fill(
   auto element = globedoc::PageElement::parse(item.element);
   if (!element.is_ok()) return element.status();
 
-  transport.charge(net::CpuOp::kSha1, 1);
+  transport.charge(net::CpuOp::kSha1, item.element.size());
   util::Status check =
       cert.check_element(element_name, *element, transport.now());
   if (!check.is_ok()) return check;  // nothing cached: failures never admit

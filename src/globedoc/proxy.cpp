@@ -40,21 +40,6 @@ std::string html_escape(const std::string& text) {
 
 }  // namespace
 
-namespace {
-
-/// proxy.fetch_ms bucket bounds (milliseconds).  The SLO latency evaluator
-/// counts whole buckets, so latency objectives should sit on one of these.
-/// Sub-millisecond bounds resolve cache-hit latencies, which cost memcopy
-/// time only — without them every hit percentile collapses to 0.
-const std::vector<double>& fetch_ms_bounds() {
-  static const std::vector<double> bounds = {0.05, 0.1, 0.2, 0.5,  1,
-                                             2,    5,   10,  20,   50,
-                                             100,  200, 500, 1000, 2000, 5000};
-  return bounds;
-}
-
-}  // namespace
-
 GlobeDocProxy::GlobeDocProxy(net::Transport& transport, ProxyConfig config)
     : transport_(&transport),
       config_(std::move(config)),
@@ -238,7 +223,7 @@ FetchResult GlobeDocProxy::finish_fetch(const Binding& binding,
   // Per-replica end-to-end latency: the series the latency SLO watches,
   // labeled so a burn-rate alert names the slow replica directly.
   registry_
-      ->histogram("proxy.fetch_ms", fetch_ms_bounds(),
+      ->histogram("proxy.fetch_ms", obs::latency_ms_bounds(),
                   {{"replica", replica.to_string()}})
       .observe(util::to_millis(metrics.total_time));
   return FetchResult{std::move(element), binding.certified_as, metrics};

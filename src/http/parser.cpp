@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <optional>
 
 namespace globe::http {
 
@@ -37,6 +38,37 @@ bool iequals(std::string_view a, std::string_view b) {
            return std::tolower(static_cast<unsigned char>(x)) ==
                   std::tolower(static_cast<unsigned char>(y));
          });
+}
+
+// The framer and the parsers share one helper per framing rule, so the bytes
+// a framer cuts as one message are exactly the bytes a parser accepts.
+// Each caller keeps its own size bound.
+
+/// Transfer-Encoding: chunked selects chunked framing.
+bool is_chunked(const Headers& headers) {
+  auto te = headers.get("Transfer-Encoding");
+  return te && iequals(trim(*te), "chunked");
+}
+
+/// A chunk-size line without its CRLF: hex digits, then an optional
+/// ";extension" that is ignored.  nullopt when malformed.
+std::optional<std::size_t> parse_chunk_size(std::string_view line) {
+  std::size_t semi = line.find(';');
+  if (semi != std::string_view::npos) line = line.substr(0, semi);
+  std::size_t n = 0;
+  auto [p, ec] = std::from_chars(line.data(), line.data() + line.size(), n, 16);
+  if (ec != std::errc() || line.empty() || p != line.data() + line.size()) {
+    return std::nullopt;
+  }
+  return n;
+}
+
+/// A Content-Length value: decimal digits only.  nullopt when malformed.
+std::optional<std::size_t> parse_content_length(std::string_view value) {
+  std::size_t n = 0;
+  auto [p, ec] = std::from_chars(value.data(), value.data() + value.size(), n);
+  if (ec != std::errc() || p != value.data() + value.size()) return std::nullopt;
+  return n;
 }
 
 struct ParsedHead {
@@ -93,17 +125,9 @@ Result<Bytes> decode_chunked(std::string_view body) {
     if (line_end == std::string_view::npos) {
       return Result<Bytes>(ErrorCode::kProtocol, "chunked: missing size line");
     }
-    std::string_view size_str = body.substr(pos, line_end - pos);
-    // Chunk extensions (";...") are permitted and ignored.
-    std::size_t semi = size_str.find(';');
-    if (semi != std::string_view::npos) size_str = size_str.substr(0, semi);
-    std::size_t chunk_size = 0;
-    auto [p, ec] = std::from_chars(size_str.data(), size_str.data() + size_str.size(),
-                                   chunk_size, 16);
-    if (ec != std::errc() || p != size_str.data() + size_str.size() ||
-        size_str.empty()) {
-      return Result<Bytes>(ErrorCode::kProtocol, "chunked: bad size");
-    }
+    auto parsed_size = parse_chunk_size(body.substr(pos, line_end - pos));
+    if (!parsed_size) return Result<Bytes>(ErrorCode::kProtocol, "chunked: bad size");
+    std::size_t chunk_size = *parsed_size;
     pos = line_end + 2;
     if (chunk_size == 0) break;
     // Overflow-safe bound: attacker-controlled sizes near SIZE_MAX must not
@@ -123,20 +147,14 @@ Result<Bytes> decode_chunked(std::string_view body) {
 
 Result<Bytes> extract_body(const ParsedHead& head, std::string_view text) {
   std::string_view body = text.substr(head.body_offset);
-  if (auto te = head.headers.get("Transfer-Encoding");
-      te && iequals(trim(*te), "chunked")) {
-    return decode_chunked(body);
-  }
+  if (is_chunked(head.headers)) return decode_chunked(body);
   if (auto cl = head.headers.get("Content-Length")) {
-    std::size_t n = 0;
-    auto [p, ec] = std::from_chars(cl->data(), cl->data() + cl->size(), n);
-    if (ec != std::errc() || p != cl->data() + cl->size()) {
-      return Result<Bytes>(ErrorCode::kProtocol, "bad Content-Length");
-    }
-    if (body.size() < n) {
+    auto n = parse_content_length(*cl);
+    if (!n) return Result<Bytes>(ErrorCode::kProtocol, "bad Content-Length");
+    if (body.size() < *n) {
       return Result<Bytes>(ErrorCode::kProtocol, "body shorter than Content-Length");
     }
-    body = body.substr(0, n);
+    body = body.substr(0, *n);
   }
   return Bytes(body.begin(), body.end());
 }
@@ -222,24 +240,18 @@ Status MessageFramer::try_extract() {
     if (!head.is_ok()) return head.status();
 
     std::size_t total;
-    if (auto te = head->headers.get("Transfer-Encoding");
-        te && iequals(trim(*te), "chunked")) {
+    if (is_chunked(head->headers)) {
       // Scan chunks to find the message end.
       std::size_t pos = head->body_offset;
       bool complete = false;
       for (;;) {
         std::size_t line_end = text.find("\r\n", pos);
         if (line_end == std::string_view::npos) break;
-        std::size_t chunk_size = 0;
-        std::string_view size_str = text.substr(pos, line_end - pos);
-        std::size_t semi = size_str.find(';');
-        if (semi != std::string_view::npos) size_str = size_str.substr(0, semi);
-        auto [p, ec] = std::from_chars(
-            size_str.data(), size_str.data() + size_str.size(), chunk_size, 16);
-        if (ec != std::errc() || size_str.empty() ||
-            p != size_str.data() + size_str.size()) {
+        auto parsed_size = parse_chunk_size(text.substr(pos, line_end - pos));
+        if (!parsed_size) {
           return Status(ErrorCode::kProtocol, "chunked framing: bad size");
         }
+        std::size_t chunk_size = *parsed_size;
         // Reject sizes that could wrap the position arithmetic or exceed the
         // framer's limit outright; otherwise a wrapped `pos` rescans earlier
         // buffer content and can spin forever.
@@ -257,15 +269,12 @@ Status MessageFramer::try_extract() {
       if (!complete) return Status::ok();
       total = pos;
     } else if (auto cl = head->headers.get("Content-Length")) {
-      std::size_t n = 0;
-      auto [p, ec] = std::from_chars(cl->data(), cl->data() + cl->size(), n);
-      if (ec != std::errc() || p != cl->data() + cl->size()) {
-        return Status(ErrorCode::kProtocol, "bad Content-Length");
-      }
-      if (n > max_message_) {
+      auto n = parse_content_length(*cl);
+      if (!n) return Status(ErrorCode::kProtocol, "bad Content-Length");
+      if (*n > max_message_) {
         return Status(ErrorCode::kProtocol, "declared body exceeds size limit");
       }
-      total = head->body_offset + n;
+      total = head->body_offset + *n;
       if (buffer_.size() < total) return Status::ok();
     } else {
       total = head->body_offset;  // no body

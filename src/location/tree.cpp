@@ -150,31 +150,73 @@ std::size_t LocationNode::lookups_served() const {
 
 std::size_t LocationNode::records_stored() const {
   util::LockGuard lock(mutex_);
-  return is_site_ ? addresses_.size() : pointers_.size();
+  return records_.size();
 }
 
-Result<std::vector<net::Endpoint>> LocationNode::resolve_down(net::ServerContext& ctx,
-                                                              const Bytes& oid) {
-  std::vector<std::string> targets;
+Status LocationNode::add_record(net::ServerContext& ctx, const Bytes& oid,
+                                const net::Endpoint& endpoint) {
   {
     util::LockGuard lock(mutex_);
-    auto it = pointers_.find(oid);
-    if (it != pointers_.end()) {
-      targets.assign(it->second.begin(), it->second.end());
+    auto& set = records_[oid];
+    // Without this cap a node could accumulate more addresses than
+    // LookupReply::parse accepts and every compliant client would start
+    // rejecting its replies.
+    if (set.size() >= kMaxLookupAddresses && set.count(endpoint) == 0) {
+      return Status(ErrorCode::kInvalidArgument,
+                    "object already has " + std::to_string(kMaxLookupAddresses) +
+                        " registered addresses");
     }
+    bool first_for_oid = set.empty();
+    set.insert(endpoint);
+    if (!first_for_oid || !has_parent_) return Status::ok();
   }
+  rpc::RpcClient parent(ctx.transport(), parent_);
+  auto installed = parent.call(rpc::kLocationService, kInsertPointer,
+                               encode_oid_child(oid, domain_));
+  if (installed.is_ok()) return Status::ok();
+  // Keeping the endpoint would leave the OID unreachable from outside this
+  // subtree for good: every later insert sees a non-empty set and skips the
+  // install.
+  util::LockGuard lock(mutex_);
+  auto it = records_.find(oid);
+  if (it != records_.end() && it->second.erase(endpoint) > 0 && it->second.empty()) {
+    records_.erase(it);
+  }
+  return installed.status();
+}
+
+bool LocationNode::drop_record(net::ServerContext& ctx, const Bytes& oid,
+                               const net::Endpoint& endpoint) {
+  {
+    util::LockGuard lock(mutex_);
+    auto it = records_.find(oid);
+    if (it == records_.end() || it->second.erase(endpoint) == 0) return false;
+    if (!it->second.empty()) return true;
+    records_.erase(it);
+  }
+  if (has_parent_) {
+    rpc::RpcClient parent(ctx.transport(), parent_);
+    (void)parent.call(rpc::kLocationService, kRemovePointer,
+                      encode_oid_child(oid, domain_));
+  }
+  return true;
+}
+
+std::vector<net::Endpoint> LocationNode::resolve_down(
+    net::ServerContext& ctx, const Bytes& oid,
+    const std::vector<net::Endpoint>& children) {
   std::vector<net::Endpoint> all;
-  for (const auto& child_name : targets) {
-    auto cit = children_.find(child_name);
-    if (cit == children_.end()) continue;  // stale pointer to removed child
+  for (const auto& child : children) {
     util::Writer q;
     q.bytes(oid);
-    rpc::RpcClient client(ctx.transport(), cit->second);
+    rpc::RpcClient client(ctx.transport(), child);
     auto raw = client.call(rpc::kLocationService, kLookup, q.buffer());
     if (!raw.is_ok()) continue;  // child down: best effort
     auto reply = LookupReply::parse(*raw);
-    if (reply.is_ok() && reply->found) {
-      all.insert(all.end(), reply->addresses.begin(), reply->addresses.end());
+    if (!reply.is_ok() || !reply->found) continue;
+    for (const auto& address : reply->addresses) {
+      if (all.size() == kMaxLookupAddresses) return all;
+      all.push_back(address);
     }
   }
   return all;
@@ -191,29 +233,21 @@ Result<Bytes> LocationNode::handle_lookup(net::ServerContext& ctx, BytesView pay
   }
 
   LookupReply reply;
-  bool need_down = false;
+  std::vector<net::Endpoint> recorded;
   {
     util::LockGuard lock(mutex_);
     ++lookups_served_;
-    if (is_site_) {
-      auto it = addresses_.find(oid);
-      if (it != addresses_.end() && !it->second.empty()) {
-        reply.found = true;
-        reply.addresses.assign(it->second.begin(), it->second.end());
-      }
-    } else {
-      need_down = pointers_.count(oid) > 0;
-    }
+    auto it = records_.find(oid);
+    if (it != records_.end()) recorded.assign(it->second.begin(), it->second.end());
     reply.has_parent = has_parent_;
     reply.parent = parent_;
   }
-  if (need_down) {
-    auto down = resolve_down(ctx, oid);
-    if (down.is_ok() && !down->empty()) {
-      reply.found = true;
-      reply.addresses = std::move(*down);
-    }
+  if (is_site_ || recorded.empty()) {
+    reply.addresses = std::move(recorded);
+  } else {
+    reply.addresses = resolve_down(ctx, oid, recorded);
   }
+  reply.found = !reply.addresses.empty();
   lookups_counter_->inc();
   if (reply.found) lookup_hits_->inc();
   return reply.serialize();
@@ -226,30 +260,9 @@ Result<Bytes> LocationNode::handle_insert(net::ServerContext& ctx, BytesView pay
   }
   auto req = decode_oid_endpoint(payload);
   if (!req.is_ok()) return req.status();
-
-  bool first_for_oid;
-  {
-    util::LockGuard lock(mutex_);
-    auto& set = addresses_[req->oid];
-    // Without this cap a node could accumulate more addresses than
-    // LookupReply::parse accepts and every compliant client would start
-    // rejecting its replies.
-    if (set.size() >= kMaxLookupAddresses && set.count(req->address) == 0) {
-      return Result<Bytes>(ErrorCode::kInvalidArgument,
-                           "object already has " +
-                               std::to_string(kMaxLookupAddresses) +
-                               " registered addresses");
-    }
-    first_for_oid = set.empty();
-    set.insert(req->address);
-  }
+  Status added = add_record(ctx, req->oid, req->address);
+  if (!added.is_ok()) return added;
   inserts_counter_->inc();
-  if (first_for_oid && has_parent_) {
-    rpc::RpcClient parent(ctx.transport(), parent_);
-    auto r = parent.call(rpc::kLocationService, kInsertPointer,
-                         encode_oid_child(req->oid, domain_));
-    if (!r.is_ok()) return r.status();
-  }
   return Bytes{};
 }
 
@@ -260,25 +273,10 @@ Result<Bytes> LocationNode::handle_remove(net::ServerContext& ctx, BytesView pay
   }
   auto req = decode_oid_endpoint(payload);
   if (!req.is_ok()) return req.status();
-
-  bool oid_gone = false;
-  {
-    util::LockGuard lock(mutex_);
-    auto it = addresses_.find(req->oid);
-    if (it == addresses_.end() || it->second.erase(req->address) == 0) {
-      return Result<Bytes>(ErrorCode::kNotFound, "address not registered");
-    }
-    if (it->second.empty()) {
-      addresses_.erase(it);
-      oid_gone = true;
-    }
+  if (!drop_record(ctx, req->oid, req->address)) {
+    return Result<Bytes>(ErrorCode::kNotFound, "address not registered");
   }
   removes_counter_->inc();
-  if (oid_gone && has_parent_) {
-    rpc::RpcClient parent(ctx.transport(), parent_);
-    (void)parent.call(rpc::kLocationService, kRemovePointer,
-                      encode_oid_child(req->oid, domain_));
-  }
   return Bytes{};
 }
 
@@ -286,23 +284,13 @@ Result<Bytes> LocationNode::handle_insert_pointer(net::ServerContext& ctx,
                                                   BytesView payload) {
   auto req = decode_oid_child(payload);
   if (!req.is_ok()) return req.status();
-  if (children_.count(req->child) == 0) {
+  auto child = children_.find(req->child);
+  if (child == children_.end()) {
     return Result<Bytes>(ErrorCode::kInvalidArgument,
                          "'" + req->child + "' is not a child of '" + domain_ + "'");
   }
-  bool first_for_oid;
-  {
-    util::LockGuard lock(mutex_);
-    auto& set = pointers_[req->oid];
-    first_for_oid = set.empty();
-    set.insert(req->child);
-  }
-  if (first_for_oid && has_parent_) {
-    rpc::RpcClient parent(ctx.transport(), parent_);
-    auto r = parent.call(rpc::kLocationService, kInsertPointer,
-                         encode_oid_child(req->oid, domain_));
-    if (!r.is_ok()) return r.status();
-  }
+  Status added = add_record(ctx, req->oid, child->second);
+  if (!added.is_ok()) return added;
   return Bytes{};
 }
 
@@ -310,23 +298,8 @@ Result<Bytes> LocationNode::handle_remove_pointer(net::ServerContext& ctx,
                                                   BytesView payload) {
   auto req = decode_oid_child(payload);
   if (!req.is_ok()) return req.status();
-  bool oid_gone = false;
-  {
-    util::LockGuard lock(mutex_);
-    auto it = pointers_.find(req->oid);
-    if (it != pointers_.end()) {
-      it->second.erase(req->child);
-      if (it->second.empty()) {
-        pointers_.erase(it);
-        oid_gone = true;
-      }
-    }
-  }
-  if (oid_gone && has_parent_) {
-    rpc::RpcClient parent(ctx.transport(), parent_);
-    (void)parent.call(rpc::kLocationService, kRemovePointer,
-                      encode_oid_child(req->oid, domain_));
-  }
+  auto child = children_.find(req->child);
+  if (child != children_.end()) (void)drop_record(ctx, req->oid, child->second);
   return Bytes{};
 }
 

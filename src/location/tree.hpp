@@ -91,9 +91,22 @@ class LocationNode {
   util::Result<util::Bytes> handle_remove_pointer(
       net::ServerContext& ctx, GLOBE_UNTRUSTED util::BytesView payload);
 
-  /// Resolves a pointer downward to concrete addresses (interior nodes).
-  util::Result<std::vector<net::Endpoint>> resolve_down(net::ServerContext& ctx,
-                                                        const util::Bytes& oid);
+  /// The one add path.  Records `endpoint` for `oid` under the
+  /// kMaxLookupAddresses cap and, when the OID is new here, installs this
+  /// node's pointer at the parent.  A failed install takes back what this
+  /// call recorded, so the next insert of the OID installs it again.
+  util::Status add_record(net::ServerContext& ctx, const util::Bytes& oid,
+                          const net::Endpoint& endpoint) GLOBE_EXCLUDES(mutex_);
+  /// The one drop path.  False when `endpoint` was not recorded for `oid`.
+  /// Dropping the last endpoint removes the parent's pointer, best effort.
+  bool drop_record(net::ServerContext& ctx, const util::Bytes& oid,
+                   const net::Endpoint& endpoint) GLOBE_EXCLUDES(mutex_);
+
+  /// Asks each recorded child for `oid` and merges the replies, capped at
+  /// kMaxLookupAddresses so the merged reply still parses (interior nodes).
+  std::vector<net::Endpoint> resolve_down(net::ServerContext& ctx,
+                                          const util::Bytes& oid,
+                                          const std::vector<net::Endpoint>& children);
 
   std::string domain_;
   bool is_site_;
@@ -102,9 +115,9 @@ class LocationNode {
   std::map<std::string, net::Endpoint> children_;
 
   mutable util::Mutex mutex_;
-  // Site: OID -> contact addresses.  Interior: OID -> child domains.
-  std::map<util::Bytes, std::set<net::Endpoint>> addresses_ GLOBE_GUARDED_BY(mutex_);
-  std::map<util::Bytes, std::set<std::string>> pointers_ GLOBE_GUARDED_BY(mutex_);
+  // Site: OID -> replica contact addresses.  Interior: OID -> endpoints of
+  // the children whose subtree holds the OID.  A recorded set is never empty.
+  std::map<util::Bytes, std::set<net::Endpoint>> records_ GLOBE_GUARDED_BY(mutex_);
   std::size_t lookups_served_ GLOBE_GUARDED_BY(mutex_) = 0;
   // Registry series, labeled by this node's domain.
   obs::Counter* lookups_counter_;

@@ -121,7 +121,6 @@ NamingServer::NamingServer(obs::MetricsRegistry* registry) {
   lookups_referral_ =
       &registry->counter("naming.server.lookups", {{"outcome", "referral"}});
   lookups_miss_ = &registry->counter("naming.server.lookups", {{"outcome", "miss"}});
-  zone_key_requests_ = &registry->counter("naming.server.zone_key_requests");
 }
 
 void NamingServer::add_zone(std::shared_ptr<ZoneAuthority> zone) {
@@ -134,11 +133,6 @@ void NamingServer::register_with(rpc::ServiceDispatcher& dispatcher) {
       rpc::kNamingService, kLookup,
       [this](net::ServerContext& ctx, BytesView payload) {
         return handle_lookup(ctx, payload);
-      });
-  dispatcher.register_method(
-      rpc::kNamingService, kZonePublicKey,
-      [this](net::ServerContext& ctx, BytesView payload) {
-        return handle_zone_key(ctx, payload);
       });
 }
 
@@ -171,24 +165,6 @@ Result<Bytes> NamingServer::handle_lookup(net::ServerContext&, BytesView payload
                                              : lookups_referral_)
       ->inc();
   return reply->serialize();
-}
-
-Result<Bytes> NamingServer::handle_zone_key(net::ServerContext&, BytesView payload) {
-  std::string zone;
-  try {
-    util::Reader r(payload);
-    zone = r.str();
-    r.expect_end();
-  } catch (const util::SerialError& e) {
-    return Result<Bytes>(ErrorCode::kProtocol, e.what());
-  }
-  zone_key_requests_->inc();
-  util::LockGuard lock(mutex_);
-  auto it = zones_.find(zone);
-  if (it == zones_.end()) {
-    return Result<Bytes>(ErrorCode::kNotFound, "zone not served here: " + zone);
-  }
-  return it->second->public_key().serialize();
 }
 
 }  // namespace globe::naming

@@ -29,8 +29,7 @@ namespace globe::naming {
 
 /// RPC method ids under rpc::kNamingService.
 enum NamingMethod : std::uint16_t {
-  kLookup = 1,       // request: str zone, str name -> NamingReply
-  kZonePublicKey = 2,  // request: str zone -> bytes (serialized RsaPublicKey)
+  kLookup = 1,  // request: str zone, str name -> NamingReply
 };
 
 /// Reply to kLookup.
@@ -76,14 +75,13 @@ class ZoneAuthority {
 /// Serves one or more zones on an RPC dispatcher.
 class NamingServer {
  public:
-  /// `registry` receives the naming.server.* series (lookups by outcome,
-  /// zone-key requests); nullptr means the process-wide
-  /// obs::global_registry().
+  /// `registry` receives the naming.server.* series (lookups by outcome);
+  /// nullptr means the process-wide obs::global_registry().
   explicit NamingServer(obs::MetricsRegistry* registry = nullptr);
 
   void add_zone(std::shared_ptr<ZoneAuthority> zone);
 
-  /// Registers kLookup/kZonePublicKey on `dispatcher`.
+  /// Registers kLookup on `dispatcher`.
   void register_with(rpc::ServiceDispatcher& dispatcher);
 
  private:
@@ -91,8 +89,6 @@ class NamingServer {
   // signed with the zone key, so nothing untrusted flows into an answer.
   util::Result<util::Bytes> handle_lookup(net::ServerContext& ctx,
                                           GLOBE_UNTRUSTED util::BytesView payload);
-  util::Result<util::Bytes> handle_zone_key(net::ServerContext& ctx,
-                                            GLOBE_UNTRUSTED util::BytesView payload);
 
   util::Mutex mutex_;
   std::map<std::string, std::shared_ptr<ZoneAuthority>> zones_
@@ -100,7 +96,6 @@ class NamingServer {
   obs::Counter* lookups_answer_;
   obs::Counter* lookups_referral_;
   obs::Counter* lookups_miss_;
-  obs::Counter* zone_key_requests_;
 };
 
 }  // namespace globe::naming

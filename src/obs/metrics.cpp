@@ -80,6 +80,13 @@ std::vector<Exemplar> Histogram::exemplars() const {
   return out;
 }
 
+const std::vector<double>& latency_ms_bounds() {
+  static const std::vector<double> kBounds = {0.05, 0.1, 0.2, 0.5,  1,
+                                              2,    5,   10,  20,   50,
+                                              100,  200, 500, 1000, 2000, 5000};
+  return kBounds;
+}
+
 double bucket_quantile(const std::vector<double>& bounds,
                        const std::vector<std::uint64_t>& counts, double q) {
   q = std::clamp(q, 0.0, 1.0);

@@ -112,6 +112,14 @@ class Histogram {
 double bucket_quantile(const std::vector<double>& bounds,
                        const std::vector<std::uint64_t>& counts, double q);
 
+/// Bucket bounds (milliseconds) of the fetch-latency histograms,
+/// proxy.fetch_ms and cache.fill_ms: one layout, so hit-vs-fill latency
+/// lines up on one dashboard.  The SLO latency evaluator counts whole
+/// buckets, so latency objectives should sit on one of these.  The
+/// sub-millisecond bounds resolve cache hits, which cost memcopy time only —
+/// with a 1 ms smallest bucket every hit quantile collapses to 0.
+const std::vector<double>& latency_ms_bounds();
+
 /// One metric's state at snapshot time.
 struct MetricSample {
   enum class Kind { kCounter, kGauge, kHistogram };

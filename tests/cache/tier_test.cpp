@@ -131,6 +131,30 @@ TEST_F(TierFixture, DelayedReplicationPullsSiblingsInBackground) {
   EXPECT_EQ(object_server->elements_served(), served);
 }
 
+TEST_F(TierFixture, FillsAndDelayedPullsChargeSha1OverTheElementBytes) {
+  // Verifying an element hashes its serialized bytes, so a fill and each
+  // delayed pull must cost what the proxy's direct path charges for it.
+  EdgeCacheTier tier(tier_config());
+  auto cert = current_cert();
+  const auto snapshot = owner->object().snapshot();
+  auto sha1_cost = [&](const std::string& name) {
+    return net::CpuModel{}.cost(net::CpuOp::kSha1,
+                                snapshot.find(name)->serialize().size());
+  };
+
+  auto before = client_flow->client_cpu();
+  ASSERT_TRUE(tier.fetch_through(*client_flow, server_ep, oid(), cert,
+                                 "index.html")
+                  .is_ok());
+  EXPECT_EQ(client_flow->client_cpu() - before, sha1_cost("index.html"));
+
+  before = client_flow->client_cpu();
+  auto stats = tier.run_delayed_pulls(*client_flow);
+  ASSERT_EQ(stats.elements_pulled, 2u);  // logo.gif + story.txt
+  EXPECT_EQ(client_flow->client_cpu() - before,
+            sha1_cost("logo.gif") + sha1_cost("story.txt"));
+}
+
 TEST_F(TierFixture, EvictionCancelsPendingDelayedPulls) {
   EdgeCacheTier tier(tier_config());
   auto cert = current_cert();

@@ -256,5 +256,43 @@ TEST_F(TreeFixture, InsertCapMatchesReplyCeiling) {
   ASSERT_TRUE(r.is_ok());
   EXPECT_EQ(r->size(), kMaxLookupAddresses);
 }
+
+TEST_F(TreeFixture, InteriorMergeCapsAtReplyCeiling) {
+  // 40 addresses at each of two sites under region-eu: the region's merged
+  // reply must stay within kMaxLookupAddresses, or the root cannot parse it
+  // and the OID vanishes for every client outside the region.
+  LocationClient client(*flow, tree->endpoint("site-ams"));
+  for (std::uint16_t i = 0; i < 40; ++i) {
+    ASSERT_TRUE(client.insert(tree->endpoint("site-ams"), oid(43),
+                              replica(3, static_cast<std::uint16_t>(8000 + i)))
+                    .is_ok());
+    ASSERT_TRUE(client.insert(tree->endpoint("site-paris"), oid(43),
+                              replica(4, static_cast<std::uint16_t>(8000 + i)))
+                    .is_ok());
+  }
+  LocationClient remote(*flow, tree->endpoint("site-ithaca"));
+  auto r = remote.lookup(oid(43));
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  EXPECT_EQ(r->size(), kMaxLookupAddresses);
+}
+
+TEST_F(TreeFixture, FailedPointerInstallIsRetriedByTheNextInsert) {
+  // The site -> region link is down during the first insert, so the region
+  // never learns the OID.  That insert fails; the next one, after the link
+  // is back, must install the pointer chain instead of trusting the first.
+  LocationClient client(*flow, tree->endpoint("site-ams"));
+  net.set_link_down(hosts[3], hosts[1], true);
+  EXPECT_FALSE(
+      client.insert(tree->endpoint("site-ams"), oid(44), replica(3, 8000)).is_ok());
+  net.set_link_down(hosts[3], hosts[1], false);
+  ASSERT_TRUE(
+      client.insert(tree->endpoint("site-ams"), oid(44), replica(3, 8000)).is_ok());
+
+  LocationClient remote(*flow, tree->endpoint("site-ithaca"));
+  auto r = remote.lookup(oid(44));
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  ASSERT_EQ(r->size(), 1u);
+  EXPECT_EQ((*r)[0], replica(3, 8000));
+}
 }  // namespace
 }  // namespace globe::location

@@ -22,6 +22,10 @@ Documents"):
                  Everything else must go through those sites so there is one
                  auditable place per protocol check.
 
+  raw-crypto-    Every designated site must still make a raw primitive call:
+  stale          an allowlist entry that no longer needs the exemption would
+                 silently admit the next raw call added to that file.
+
   no-rand        rand()/std::rand/srand/random() are banned everywhere: all
                  randomness flows through the DRBG (crypto::HmacDrbg) or the
                  seeded simulation RNG (util::SplitMix64), keeping runs
@@ -129,13 +133,11 @@ RAW_CRYPTO_ALLOWED = {
     "src/globedoc/dynamic.cpp",        # dynamic receipts sign/verify
     "src/globedoc/object.cpp",         # object key generation
     "src/globedoc/server.cpp",         # admin challenge/response signatures
-    "src/globedoc/owner.cpp",          # owner-side signing helpers
     "src/globedoc/importer.cpp",       # import-manifest digest gate (§9)
     "src/naming/service.cpp",          # zone record signing
     "src/naming/resolver.cpp",         # zone record validation
     "src/http/secure_channel.cpp",     # TLS-like handshake + record crypto
     "src/http/static_server.cpp",      # ETag generation (non-security digest)
-    "src/replication/refresher.cpp",   # replica re-verification on pull
 }
 # Tests, benches and examples may exercise primitives directly.
 RAW_CRYPTO_ALLOWED_DIRS = ("src/crypto/", "tests/", "bench/", "examples/")
@@ -196,16 +198,10 @@ def strip_strings(line: str) -> str:
     return re.sub(r'"(?:[^"\\]|\\.)*"|\'(?:[^\'\\]|\\.)*\'', '""', line)
 
 
-def check_file(path: pathlib.Path, violations: list[str]) -> None:
-    rel = relpath(path)
-    text = path.read_text(encoding="utf-8", errors="replace")
-    lines = text.splitlines()
+def code_lines(lines: list[str]):
+    """Yields (lineno, code) for every line outside comments, with string
+    literals blanked and any trailing // comment cut."""
     in_block_comment = False
-    # True when the previous code line leaves an expression open (assignment,
-    # call argument list, boolean operator, return ...): the current line is a
-    # continuation, so a leading verification call is NOT a discarded result.
-    prev_continues = False
-
     for lineno, raw_line in enumerate(lines, start=1):
         line = strip_strings(raw_line)
 
@@ -220,8 +216,18 @@ def check_file(path: pathlib.Path, violations: list[str]) -> None:
             continue
         if COMMENT_RE.match(line):
             continue
-        code = line.split("//", 1)[0]
+        yield lineno, line.split("//", 1)[0]
 
+
+def check_file(path: pathlib.Path, violations: list[str]) -> None:
+    rel = relpath(path)
+    lines = path.read_text(encoding="utf-8", errors="replace").splitlines()
+    # True when the previous code line leaves an expression open (assignment,
+    # call argument list, boolean operator, return ...): the current line is a
+    # continuation, so a leading verification call is NOT a discarded result.
+    prev_continues = False
+
+    for lineno, code in code_lines(lines):
         # --- no-rand: everywhere ---
         if RAND_RE.search(code):
             violations.append(
@@ -284,6 +290,18 @@ def check_file(path: pathlib.Path, violations: list[str]) -> None:
             )
         # blank lines keep the previous continuation state (wrapped exprs
         # never contain blank lines in this tree, but comments may intervene)
+
+
+def check_raw_crypto_allowlist(violations: list[str]) -> None:
+    """Every RAW_CRYPTO_ALLOWED file must still make a raw primitive call."""
+    for rel in sorted(RAW_CRYPTO_ALLOWED):
+        path = REPO / rel
+        lines = (path.read_text(encoding="utf-8", errors="replace").splitlines()
+                 if path.is_file() else [])
+        if not any(RAW_CRYPTO_RE.search(code) for _, code in code_lines(lines)):
+            violations.append(
+                f"tools/lint.py: [raw-crypto-stale] RAW_CRYPTO_ALLOWED entry "
+                f"\"{rel}\" makes no raw primitive call — remove the entry")
 
 
 def check_metric_catalog(violations: list[str]) -> None:
@@ -443,6 +461,7 @@ def run_lint() -> int:
     violations: list[str] = []
     for path in iter_sources():
         check_file(path, violations)
+    check_raw_crypto_allowlist(violations)
     check_metric_catalog(violations)
     check_probe_catalog(violations)
     check_slo_catalog(violations)
@@ -487,6 +506,20 @@ SELF_TEST_CASES = [
         "src/globedoc/integrity.cpp",
         "  auto sig = crypto::rsa_sign_sha1(key, body);\n",
         None,
+    ),
+    # The self-test allowlist (see run_self_test) designates exactly one
+    # site: src/globedoc/integrity.cpp.
+    (
+        "allowlisted site without raw call fires",
+        "src/globedoc/integrity.cpp",
+        "  if (!cert.verify_signature(key)) return bad();\n",
+        "raw-crypto-stale",
+    ),
+    (
+        "allowlisted site with commented-out raw call fires",
+        "src/globedoc/integrity.cpp",
+        "  // auto sig = crypto::rsa_sign_sha1(key, body);\n",
+        "raw-crypto-stale",
     ),
     (
         "raw sha1 in test clean",
@@ -710,6 +743,12 @@ def run_self_test() -> int:
             capfile = root / CAPACITY_BOUNDS
             if not capfile.exists():
                 capfile.write_text("64 util.Registered.ring_  # self-test seed\n")
+            # Minimal raw-crypto allowlist with a live designated site.
+            seedsite = root / "src/globedoc/integrity.cpp"
+            if not seedsite.exists():
+                seedsite.parent.mkdir(parents=True, exist_ok=True)
+                seedsite.write_text(
+                    "  auto sig = crypto::rsa_sign_sha1(key, body);\n")
             seedmember = root / "src/util/registered.hpp"
             if not seedmember.exists():
                 seedmember.parent.mkdir(parents=True, exist_ok=True)
@@ -718,18 +757,20 @@ def run_self_test() -> int:
                     "  std::deque<int> ring_ GLOBE_BOUNDED;\n"
                     "};\n")
             violations: list[str] = []
-            global REPO
-            saved_repo = REPO
+            global REPO, RAW_CRYPTO_ALLOWED
+            saved_repo, saved_allowed = REPO, RAW_CRYPTO_ALLOWED
             try:
                 REPO = root
+                RAW_CRYPTO_ALLOWED = {"src/globedoc/integrity.cpp"}
                 check_file(target, violations)
+                check_raw_crypto_allowlist(violations)
                 check_metric_catalog(violations)
                 check_probe_catalog(violations)
                 check_slo_catalog(violations)
                 check_lock_hierarchy(violations)
                 check_capacity_registry(violations)
             finally:
-                REPO = saved_repo
+                REPO, RAW_CRYPTO_ALLOWED = saved_repo, saved_allowed
             tags = {re.search(r"\[([\w-]+)\]", v).group(1) for v in violations}
             if expected is None:
                 ok = not violations
