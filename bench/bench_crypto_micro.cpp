@@ -10,6 +10,7 @@
 #include "crypto/prime.hpp"
 #include "crypto/rsa.hpp"
 #include "crypto/sha1.hpp"
+#include "crypto/sha1_compress.hpp"
 #include "crypto/sha256.hpp"
 #include "globedoc/integrity.hpp"
 
@@ -38,7 +39,21 @@ void BM_Sha1(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_Sha1)->Arg(1024)->Arg(65536)->Arg(1048576);
+BENCHMARK(BM_Sha1)->Arg(64)->Arg(1024)->Arg(262144)->Arg(1048576);
+
+// The portable rounds BM_Sha1 runs on hosts without SHA-NI; beside BM_Sha1
+// it records what the dispatched block function gains on this host.
+void BM_Sha1Scalar(benchmark::State& state) {
+  util::Bytes data = test_data(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    auto h = crypto::detail::Sha1Testing::with(crypto::detail::sha1_compress_scalar);
+    h.update(data);
+    benchmark::DoNotOptimize(h.finish());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Sha1Scalar)->Arg(64)->Arg(1024)->Arg(262144)->Arg(1048576);
 
 void BM_Sha256(benchmark::State& state) {
   util::Bytes data = test_data(static_cast<std::size_t>(state.range(0)));

@@ -1,5 +1,7 @@
 #include "globedoc/element.hpp"
 
+#include <array>
+
 #include "crypto/sha1.hpp"
 #include "util/serial.hpp"
 
@@ -34,8 +36,27 @@ Result<PageElement> PageElement::parse(util::BytesView data) {
   }
 }
 
+namespace {
+// serialize()'s u32 big-endian length prefix for one field.
+std::array<std::uint8_t, 4> length_prefix(std::size_t n) {
+  const auto v = static_cast<std::uint32_t>(n);
+  return {static_cast<std::uint8_t>(v >> 24), static_cast<std::uint8_t>(v >> 16),
+          static_cast<std::uint8_t>(v >> 8), static_cast<std::uint8_t>(v)};
+}
+
+util::BytesView view(const std::string& s) {
+  return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
+}
+}  // namespace
+
 Bytes PageElement::digest() const {
-  return crypto::Sha1::digest_bytes(serialize());
+  // Hashes serialize()'s bytes in place rather than through a copy of the
+  // (up to 1 MB) element.
+  const auto name_len = length_prefix(name.size());
+  const auto type_len = length_prefix(content_type.size());
+  const auto content_len = length_prefix(content.size());
+  return crypto::Sha1::digest_bytes(
+      {name_len, view(name), type_len, view(content_type), content_len, content});
 }
 
 }  // namespace globe::globedoc

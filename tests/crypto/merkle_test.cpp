@@ -44,6 +44,11 @@ TEST(MerkleTest, DomainSeparationLeafVsInterior) {
   EXPECT_NE(MerkleTree::hash_leaf(d), Sha1::digest_bytes(d));
 }
 
+TEST(MerkleTest, EmptyLeafHashesTagOnly) {
+  Bytes tag{0x00};
+  EXPECT_EQ(MerkleTree::hash_leaf(Bytes{}), Sha1::digest_bytes(tag));
+}
+
 class MerkleProofProperty : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(MerkleProofProperty, AllLeavesVerify) {

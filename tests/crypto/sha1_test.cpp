@@ -64,6 +64,25 @@ TEST(Sha1Test, ExactBlockBoundaryLengths) {
   }
 }
 
+TEST(Sha1Test, EmptyUpdateAfterPartialBlock) {
+  // An empty view's data() may be null; it must not reach memcpy.
+  Sha1 h;
+  h.update(to_bytes("abc"));
+  h.update(util::BytesView{});
+  h.update(Bytes{});
+  auto d = h.finish();
+  EXPECT_EQ(hex_encode(util::Bytes(d.begin(), d.end())),
+            "a9993e364706816aba3e25717850c26c9cd0d89d");
+}
+
+TEST(Sha1Test, DigestOfPartsMatchesDigestOfConcatenation) {
+  Bytes a = to_bytes("abcdbcdecdefdefgefghfghighijhijk");
+  Bytes b = to_bytes("ijkljklmklmnlmnomnopnopq");
+  EXPECT_EQ(Sha1::digest_bytes({a, Bytes{}, b}), Sha1::digest_bytes(util::concat({a, b})));
+  EXPECT_EQ(hex_encode(Sha1::digest_bytes({a, b})),
+            "84983e441c3bd26ebaae4aa1f95129e5e54670f1");
+}
+
 TEST(Sha1Test, ResetAllowsReuse) {
   Sha1 h;
   h.update(to_bytes("garbage"));

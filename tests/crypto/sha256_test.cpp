@@ -52,6 +52,16 @@ TEST(Sha256Test, IncrementalMatchesOneShot) {
   }
 }
 
+TEST(Sha256Test, EmptyUpdateAfterPartialBlock) {
+  // An empty view's data() may be null; it must not reach memcpy.
+  Sha256 h;
+  h.update(to_bytes("abc"));
+  h.update(util::BytesView{});
+  auto d = h.finish();
+  EXPECT_EQ(hex_encode(Bytes(d.begin(), d.end())),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+}
+
 TEST(Sha256Test, BlockBoundaryLengths) {
   for (std::size_t len : {55u, 56u, 57u, 63u, 64u, 65u}) {
     Bytes a(len, 0x42);

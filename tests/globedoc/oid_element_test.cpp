@@ -97,5 +97,22 @@ TEST(ElementTest, DigestCoversNameTypeAndContent) {
   EXPECT_EQ(base.digest(), copy.digest());
 }
 
+TEST(ElementTest, DigestIsSha1OfSerializedElement) {
+  // serialize() adds 3 x 4 length bytes; "a.html" and "text/html" add 15.
+  constexpr std::size_t kOverhead = 12 + 6 + 9;
+  std::vector<PageElement> elements;
+  elements.push_back({"a.html", "text/html", Bytes{}});
+  for (std::size_t total : {55u, 56u, 64u}) {
+    elements.push_back({"a.html", "text/html", Bytes(total - kOverhead, 'x')});
+  }
+  auto rng = crypto::HmacDrbg::from_seed(7);
+  elements.push_back({"a.html", "text/html", rng.bytes(1 << 20)});
+  for (const auto& el : elements) {
+    EXPECT_EQ(el.digest(), crypto::Sha1::digest_bytes(el.serialize()))
+        << "serialized size " << el.serialize().size();
+  }
+  EXPECT_EQ(elements[1].serialize().size(), 55u);
+}
+
 }  // namespace
 }  // namespace globe::globedoc
