@@ -106,17 +106,22 @@ void BM_RsaVerify1024(benchmark::State& state) {
 }
 BENCHMARK(BM_RsaVerify1024);
 
-void BM_ModPow1024(benchmark::State& state) {
+// One modular exponentiation at the two shapes RSA-1024 runs: a verify
+// (1024-bit n, e = 65537) and one CRT half of a sign (512-bit p, 512-bit
+// exponent).  exp_bits == 0 selects e = 65537.
+void BM_ModPow(benchmark::State& state, std::size_t mod_bits, std::size_t exp_bits) {
   auto rng = crypto::HmacDrbg::from_seed(2);
-  crypto::BigInt base = crypto::BigInt::random_bits(1024, rng);
-  crypto::BigInt exp = crypto::BigInt::random_bits(1024, rng);
-  crypto::BigInt mod = crypto::BigInt::random_bits(1024, rng);
+  crypto::BigInt mod = crypto::BigInt::random_bits(mod_bits, rng);
   if (mod.is_even()) mod = mod + crypto::BigInt(1);
+  crypto::BigInt base = crypto::BigInt::random_below(mod, rng);
+  crypto::BigInt exp = exp_bits == 0 ? crypto::BigInt(65537)
+                                     : crypto::BigInt::random_bits(exp_bits, rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(crypto::BigInt::mod_pow(base, exp, mod));
   }
 }
-BENCHMARK(BM_ModPow1024);
+BENCHMARK_CAPTURE(BM_ModPow, n1024_e65537, 1024, 0);
+BENCHMARK_CAPTURE(BM_ModPow, n512_e512, 512, 512);
 
 void BM_MillerRabin256(benchmark::State& state) {
   auto rng = crypto::HmacDrbg::from_seed(3);

@@ -3,14 +3,16 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "crypto/rsa.hpp"
+
 namespace globe::crypto {
 
 namespace {
 
-using u32 = std::uint32_t;
 using u64 = std::uint64_t;
+using u128 = unsigned __int128;
 
-constexpr u64 kBase = u64{1} << 32;
+constexpr unsigned kLimbBits = 64;
 
 }  // namespace
 
@@ -19,17 +21,16 @@ void BigInt::trim() {
 }
 
 BigInt::BigInt(std::uint64_t v) {
-  if (v != 0) limbs_.push_back(static_cast<u32>(v));
-  if (v >> 32) limbs_.push_back(static_cast<u32>(v >> 32));
+  if (v != 0) limbs_.push_back(v);
 }
 
 BigInt BigInt::from_bytes(util::BytesView be) {
   BigInt out;
-  out.limbs_.assign((be.size() + 3) / 4, 0);
+  out.limbs_.assign((be.size() + 7) / 8, 0);
   // Bytes are big-endian; limb 0 is least significant.
   for (std::size_t i = 0; i < be.size(); ++i) {
     std::size_t byte_index = be.size() - 1 - i;  // significance of be[byte_index]
-    out.limbs_[i / 4] |= u32{be[byte_index]} << (8 * (i % 4));
+    out.limbs_[i / 8] |= u64{be[byte_index]} << (8 * (i % 8));
   }
   out.trim();
   return out;
@@ -55,13 +56,12 @@ BigInt BigInt::from_dec(std::string_view dec) {
 
 util::Bytes BigInt::to_bytes(std::size_t pad) const {
   util::Bytes minimal;
-  minimal.reserve(limbs_.size() * 4);
+  minimal.reserve(limbs_.size() * 8);
   // Emit little-endian then reverse; skip leading zeros afterwards.
-  for (u32 limb : limbs_) {
-    minimal.push_back(static_cast<std::uint8_t>(limb));
-    minimal.push_back(static_cast<std::uint8_t>(limb >> 8));
-    minimal.push_back(static_cast<std::uint8_t>(limb >> 16));
-    minimal.push_back(static_cast<std::uint8_t>(limb >> 24));
+  for (u64 limb : limbs_) {
+    for (unsigned b = 0; b < 8; ++b) {
+      minimal.push_back(static_cast<std::uint8_t>(limb >> (8 * b)));
+    }
   }
   while (!minimal.empty() && minimal.back() == 0) minimal.pop_back();
   std::reverse(minimal.begin(), minimal.end());
@@ -96,26 +96,17 @@ std::string BigInt::to_dec() const {
 
 std::size_t BigInt::bit_length() const {
   if (limbs_.empty()) return 0;
-  u32 top = limbs_.back();
-  std::size_t bits = (limbs_.size() - 1) * 32;
-  while (top) {
-    ++bits;
-    top >>= 1;
-  }
-  return bits;
+  return limbs_.size() * kLimbBits -
+         static_cast<std::size_t>(__builtin_clzll(limbs_.back()));
 }
 
 bool BigInt::bit(std::size_t i) const {
-  std::size_t limb = i / 32;
+  std::size_t limb = i / kLimbBits;
   if (limb >= limbs_.size()) return false;
-  return (limbs_[limb] >> (i % 32)) & 1;
+  return (limbs_[limb] >> (i % kLimbBits)) & 1;
 }
 
-std::uint64_t BigInt::low_u64() const {
-  u64 v = limbs_.empty() ? 0 : limbs_[0];
-  if (limbs_.size() > 1) v |= u64{limbs_[1]} << 32;
-  return v;
-}
+std::uint64_t BigInt::low_u64() const { return limbs_.empty() ? 0 : limbs_[0]; }
 
 int BigInt::cmp(const BigInt& a, const BigInt& b) {
   if (a.limbs_.size() != b.limbs_.size()) {
@@ -128,20 +119,17 @@ int BigInt::cmp(const BigInt& a, const BigInt& b) {
 }
 
 BigInt BigInt::operator+(const BigInt& rhs) const {
+  const auto& a = limbs_.size() >= rhs.limbs_.size() ? limbs_ : rhs.limbs_;
+  const auto& b = limbs_.size() >= rhs.limbs_.size() ? rhs.limbs_ : limbs_;
   BigInt out;
-  const auto& a = limbs_;
-  const auto& b = rhs.limbs_;
-  std::size_t n = std::max(a.size(), b.size());
-  out.limbs_.resize(n + 1, 0);
+  out.limbs_.resize(a.size() + 1, 0);
   u64 carry = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    u64 sum = carry;
-    if (i < a.size()) sum += a[i];
-    if (i < b.size()) sum += b[i];
-    out.limbs_[i] = static_cast<u32>(sum);
-    carry = sum >> 32;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    u128 sum = u128{a[i]} + (i < b.size() ? b[i] : 0) + carry;
+    out.limbs_[i] = static_cast<u64>(sum);
+    carry = static_cast<u64>(sum >> kLimbBits);
   }
-  out.limbs_[n] = static_cast<u32>(carry);
+  out.limbs_[a.size()] = carry;
   out.trim();
   return out;
 }
@@ -152,17 +140,11 @@ BigInt BigInt::operator-(const BigInt& rhs) const {
   }
   BigInt out;
   out.limbs_.resize(limbs_.size(), 0);
-  std::int64_t borrow = 0;
+  u64 borrow = 0;
   for (std::size_t i = 0; i < limbs_.size(); ++i) {
-    std::int64_t diff = static_cast<std::int64_t>(limbs_[i]) - borrow -
-                        (i < rhs.limbs_.size() ? static_cast<std::int64_t>(rhs.limbs_[i]) : 0);
-    if (diff < 0) {
-      diff += static_cast<std::int64_t>(kBase);
-      borrow = 1;
-    } else {
-      borrow = 0;
-    }
-    out.limbs_[i] = static_cast<u32>(diff);
+    u128 diff = u128{limbs_[i]} - (i < rhs.limbs_.size() ? rhs.limbs_[i] : 0) - borrow;
+    out.limbs_[i] = static_cast<u64>(diff);
+    borrow = static_cast<u64>(diff >> kLimbBits) & 1;
   }
   out.trim();
   return out;
@@ -171,7 +153,7 @@ BigInt BigInt::operator-(const BigInt& rhs) const {
 namespace {
 
 /// Below this limb count Karatsuba's recursion overhead beats its savings.
-constexpr std::size_t kKaratsubaThreshold = 24;
+constexpr std::size_t kKaratsubaThreshold = 64;
 
 }  // namespace
 
@@ -182,11 +164,11 @@ BigInt BigInt::schoolbook_mul(const BigInt& lhs, const BigInt& rhs) {
     u64 carry = 0;
     u64 ai = lhs.limbs_[i];
     for (std::size_t j = 0; j < rhs.limbs_.size(); ++j) {
-      u64 cur = out.limbs_[i + j] + ai * rhs.limbs_[j] + carry;
-      out.limbs_[i + j] = static_cast<u32>(cur);
-      carry = cur >> 32;
+      u128 cur = u128{ai} * rhs.limbs_[j] + out.limbs_[i + j] + carry;
+      out.limbs_[i + j] = static_cast<u64>(cur);
+      carry = static_cast<u64>(cur >> kLimbBits);
     }
-    out.limbs_[i + rhs.limbs_.size()] += static_cast<u32>(carry);
+    out.limbs_[i + rhs.limbs_.size()] = carry;
   }
   out.trim();
   return out;
@@ -216,7 +198,7 @@ BigInt BigInt::operator*(const BigInt& rhs) const {
     return schoolbook_mul(*this, rhs);
   }
   // Karatsuba: split both at half the larger operand.
-  //   x = x1·B + x0,  y = y1·B + y0   (B = 2^(32·half))
+  //   x = x1·B + x0,  y = y1·B + y0   (B = 2^(64·half))
   //   x·y = z2·B² + z1·B + z0 with z2 = x1·y1, z0 = x0·y0,
   //   z1 = (x0+x1)(y0+y1) − z2 − z0  — three multiplies instead of four.
   std::size_t half = std::max(limbs_.size(), rhs.limbs_.size()) / 2;
@@ -227,39 +209,35 @@ BigInt BigInt::operator*(const BigInt& rhs) const {
   BigInt z0 = x0 * y0;
   BigInt z1 = (x0 + x1) * (y0 + y1) - z2 - z0;
 
-  return (z2 << (64 * half)) + (z1 << (32 * half)) + z0;
+  return (z2 << (2 * kLimbBits * half)) + (z1 << (kLimbBits * half)) + z0;
 }
 
 BigInt BigInt::operator<<(std::size_t bits) const {
-  if (is_zero() || bits == 0) {
-    BigInt out = *this;
-    return out;
-  }
-  std::size_t limb_shift = bits / 32;
-  std::size_t bit_shift = bits % 32;
+  if (is_zero() || bits == 0) return *this;
+  std::size_t limb_shift = bits / kLimbBits;
+  unsigned bit_shift = bits % kLimbBits;
   BigInt out;
   out.limbs_.assign(limbs_.size() + limb_shift + 1, 0);
   for (std::size_t i = 0; i < limbs_.size(); ++i) {
-    u64 v = u64{limbs_[i]} << bit_shift;
-    out.limbs_[i + limb_shift] |= static_cast<u32>(v);
-    out.limbs_[i + limb_shift + 1] |= static_cast<u32>(v >> 32);
+    out.limbs_[i + limb_shift] |= limbs_[i] << bit_shift;
+    if (bit_shift) out.limbs_[i + limb_shift + 1] = limbs_[i] >> (kLimbBits - bit_shift);
   }
   out.trim();
   return out;
 }
 
 BigInt BigInt::operator>>(std::size_t bits) const {
-  std::size_t limb_shift = bits / 32;
-  std::size_t bit_shift = bits % 32;
+  std::size_t limb_shift = bits / kLimbBits;
+  unsigned bit_shift = bits % kLimbBits;
   if (limb_shift >= limbs_.size()) return BigInt();
   BigInt out;
   out.limbs_.assign(limbs_.size() - limb_shift, 0);
   for (std::size_t i = 0; i < out.limbs_.size(); ++i) {
-    u64 v = u64{limbs_[i + limb_shift]} >> bit_shift;
+    u64 v = limbs_[i + limb_shift] >> bit_shift;
     if (bit_shift && i + limb_shift + 1 < limbs_.size()) {
-      v |= u64{limbs_[i + limb_shift + 1]} << (32 - bit_shift);
+      v |= limbs_[i + limb_shift + 1] << (kLimbBits - bit_shift);
     }
-    out.limbs_[i] = static_cast<u32>(v);
+    out.limbs_[i] = v;
   }
   out.trim();
   return out;
@@ -279,9 +257,9 @@ void BigInt::divmod(const BigInt& num, const BigInt& den, BigInt& quot, BigInt& 
     q.limbs_.assign(num.limbs_.size(), 0);
     u64 r = 0;
     for (std::size_t i = num.limbs_.size(); i-- > 0;) {
-      u64 cur = r << 32 | num.limbs_[i];
-      q.limbs_[i] = static_cast<u32>(cur / d);
-      r = cur % d;
+      u128 cur = u128{r} << kLimbBits | num.limbs_[i];
+      q.limbs_[i] = static_cast<u64>(cur / d);
+      r = static_cast<u64>(cur % d);
     }
     q.trim();
     quot = std::move(q);
@@ -289,73 +267,62 @@ void BigInt::divmod(const BigInt& num, const BigInt& den, BigInt& quot, BigInt& 
     return;
   }
 
-  // Knuth Algorithm D (TAOCP 4.3.1) with 32-bit digits.
+  // Knuth Algorithm D (TAOCP 4.3.1) with 64-bit digits.
   const std::size_t n = den.limbs_.size();
   const std::size_t m = num.limbs_.size() - n;
 
   // Normalize: shift so the divisor's top limb has its high bit set.
-  unsigned s = 0;
-  for (u32 top = den.limbs_.back(); !(top & 0x80000000u); top <<= 1) ++s;
-
-  std::vector<u32> v(n);
-  for (std::size_t i = n; i-- > 0;) {
-    v[i] = den.limbs_[i] << s;
-    if (s && i > 0) v[i] |= static_cast<u32>(u64{den.limbs_[i - 1]} >> (32 - s));
-  }
-  std::vector<u32> u(num.limbs_.size() + 1, 0);
-  u[num.limbs_.size()] =
-      s ? static_cast<u32>(u64{num.limbs_.back()} >> (32 - s)) : 0;
-  for (std::size_t i = num.limbs_.size(); i-- > 0;) {
-    u[i] = num.limbs_[i] << s;
-    if (s && i > 0) u[i] |= static_cast<u32>(u64{num.limbs_[i - 1]} >> (32 - s));
-  }
+  const unsigned s = static_cast<unsigned>(__builtin_clzll(den.limbs_.back()));
+  auto shifted = [s](const std::vector<u64>& x, std::size_t i) {
+    u64 v = x[i] << s;
+    if (s && i > 0) v |= x[i - 1] >> (kLimbBits - s);
+    return v;
+  };
+  std::vector<u64> v(n);
+  for (std::size_t i = 0; i < n; ++i) v[i] = shifted(den.limbs_, i);
+  std::vector<u64> u(num.limbs_.size() + 1);
+  u[num.limbs_.size()] = s ? num.limbs_.back() >> (kLimbBits - s) : 0;
+  for (std::size_t i = 0; i < num.limbs_.size(); ++i) u[i] = shifted(num.limbs_, i);
 
   BigInt q;
   q.limbs_.assign(m + 1, 0);
 
   for (std::size_t j = m + 1; j-- > 0;) {
-    u64 num2 = u64{u[j + n]} << 32 | u[j + n - 1];
-    u64 qhat = num2 / v[n - 1];
-    u64 rhat = num2 % v[n - 1];
-    while (qhat >= kBase ||
-           qhat * v[n - 2] > (rhat << 32 | u[j + n - 2])) {
+    // Estimate qhat from the top two digits; it is at most two too large.
+    u128 num2 = u128{u[j + n]} << kLimbBits | u[j + n - 1];
+    u128 qhat = num2 / v[n - 1];
+    u128 rhat = num2 % v[n - 1];
+    while (qhat >> kLimbBits ||
+           qhat * v[n - 2] > (rhat << kLimbBits | u[j + n - 2])) {
       --qhat;
       rhat += v[n - 1];
-      if (rhat >= kBase) break;
+      if (rhat >> kLimbBits) break;
     }
     // Multiply-and-subtract: u[j..j+n] -= qhat * v.
-    std::int64_t borrow = 0;
+    u64 borrow = 0;
     u64 carry = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      u64 p = qhat * v[i] + carry;
-      carry = p >> 32;
-      std::int64_t t = static_cast<std::int64_t>(u[i + j]) -
-                       static_cast<std::int64_t>(p & 0xffffffffu) - borrow;
-      if (t < 0) {
-        t += static_cast<std::int64_t>(kBase);
-        borrow = 1;
-      } else {
-        borrow = 0;
-      }
-      u[i + j] = static_cast<u32>(t);
+      u128 p = qhat * v[i] + carry;
+      carry = static_cast<u64>(p >> kLimbBits);
+      u128 t = u128{u[i + j]} - static_cast<u64>(p) - borrow;
+      u[i + j] = static_cast<u64>(t);
+      borrow = static_cast<u64>(t >> kLimbBits) & 1;
     }
-    std::int64_t t = static_cast<std::int64_t>(u[j + n]) -
-                     static_cast<std::int64_t>(carry) - borrow;
-    if (t < 0) {
-      // qhat was one too large: add the divisor back.
-      t += static_cast<std::int64_t>(kBase);
+    u128 t = u128{u[j + n]} - carry - borrow;
+    u[j + n] = static_cast<u64>(t);
+    if (t >> kLimbBits) {
+      // qhat was one too large: add the divisor back (the carry out of the
+      // top digit cancels the borrow).
       --qhat;
       u64 carry2 = 0;
       for (std::size_t i = 0; i < n; ++i) {
-        u64 sum = u64{u[i + j]} + v[i] + carry2;
-        u[i + j] = static_cast<u32>(sum);
-        carry2 = sum >> 32;
+        u128 sum = u128{u[i + j]} + v[i] + carry2;
+        u[i + j] = static_cast<u64>(sum);
+        carry2 = static_cast<u64>(sum >> kLimbBits);
       }
-      t += static_cast<std::int64_t>(carry2);
-      t &= 0xffffffff;
+      u[j + n] += carry2;
     }
-    u[j + n] = static_cast<u32>(t);
-    q.limbs_[j] = static_cast<u32>(qhat);
+    q.limbs_[j] = static_cast<u64>(qhat);
   }
   q.trim();
 
@@ -364,9 +331,7 @@ void BigInt::divmod(const BigInt& num, const BigInt& den, BigInt& quot, BigInt& 
   r.limbs_.assign(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
     r.limbs_[i] = u[i] >> s;
-    if (s && i + 1 < u.size()) {
-      r.limbs_[i] |= static_cast<u32>(u64{u[i + 1]} << (32 - s));
-    }
+    if (s) r.limbs_[i] |= u[i + 1] << (kLimbBits - s);
   }
   r.trim();
 
@@ -388,99 +353,88 @@ BigInt BigInt::operator%(const BigInt& rhs) const {
 
 namespace {
 
-// Montgomery context for an odd modulus m of k limbs.
-struct MontCtx {
-  std::vector<u32> m;   // modulus limbs
-  u32 m0inv;            // -m^{-1} mod 2^32
-  std::size_t k;
+/// Limb capacity of the Montgomery kernel's stack buffers: the largest
+/// modulus RsaPublicKey::parse() admits.
+constexpr std::size_t kMontMaxLimbs = kMaxRsaModulusBytes / sizeof(u64);
 
-  explicit MontCtx(const BigInt& modulus) : m(modulus.limbs()), k(m.size()) {
-    // Newton iteration: inv = m[0]^{-1} mod 2^32.
-    u32 inv = 1;
-    for (int i = 0; i < 5; ++i) inv *= 2 - m[0] * inv;
-    m0inv = static_cast<u32>(0u - inv);
+/// Montgomery arithmetic modulo an odd m of k limbs, R = 2^(64k).  Every
+/// operand is a k-limb array holding a value below m.
+class Montgomery {
+ public:
+  Montgomery(const u64* m, std::size_t k) : m_(m), k_(k) {
+    // Newton iteration doubles the correct low bits of m[0]^-1 each step:
+    // 1 → 2 → … → 64.
+    u64 inv = 1;
+    for (int i = 0; i < 6; ++i) inv *= 2 - m[0] * inv;
+    m0inv_ = 0 - inv;
   }
 
-  // r = a * b * R^{-1} mod m  (CIOS).  a, b, r are k-limb vectors; a and b
-  // must be < m.
-  void mul(const std::vector<u32>& a, const std::vector<u32>& b,
-           std::vector<u32>& r) const {
-    std::vector<u32> t(k + 2, 0);
+  /// r = a·b·R^-1 mod m (CIOS).  r may alias a or b.
+  void mul(u64* r, const u64* a, const u64* b) const {
+    const std::size_t k = k_;
+    // Only the k + 2 limbs in use are zeroed, so a small modulus does not
+    // pay for the 8192-bit capacity on every product.
+    u64 t[kMontMaxLimbs + 2];
+    std::fill_n(t, k + 2, u64{0});
     for (std::size_t i = 0; i < k; ++i) {
-      // t += a[i] * b
+      // t += a[i]·b
       u64 carry = 0;
-      u64 ai = a[i];
+      const u64 ai = a[i];
       for (std::size_t j = 0; j < k; ++j) {
-        u64 cur = t[j] + ai * b[j] + carry;
-        t[j] = static_cast<u32>(cur);
-        carry = cur >> 32;
+        u128 cur = u128{ai} * b[j] + t[j] + carry;
+        t[j] = static_cast<u64>(cur);
+        carry = static_cast<u64>(cur >> kLimbBits);
       }
-      u64 cur = u64{t[k]} + carry;
-      t[k] = static_cast<u32>(cur);
-      t[k + 1] = static_cast<u32>(u64{t[k + 1]} + (cur >> 32));
+      u128 top = u128{t[k]} + carry;
+      t[k] = static_cast<u64>(top);
+      t[k + 1] = static_cast<u64>(top >> kLimbBits);
 
-      // t = (t + mu * m) / base
-      u32 mu = static_cast<u32>(t[0] * m0inv);
-      cur = u64{t[0]} + u64{mu} * m[0];
-      carry = cur >> 32;
+      // t = (t + mu·m) / 2^64, with mu chosen so the low limb cancels.
+      const u64 mu = t[0] * m0inv_;
+      u128 cur = u128{mu} * m_[0] + t[0];
+      carry = static_cast<u64>(cur >> kLimbBits);
       for (std::size_t j = 1; j < k; ++j) {
-        cur = t[j] + u64{mu} * m[j] + carry;
-        t[j - 1] = static_cast<u32>(cur);
-        carry = cur >> 32;
+        cur = u128{mu} * m_[j] + t[j] + carry;
+        t[j - 1] = static_cast<u64>(cur);
+        carry = static_cast<u64>(cur >> kLimbBits);
       }
-      cur = u64{t[k]} + carry;
-      t[k - 1] = static_cast<u32>(cur);
-      t[k] = static_cast<u32>(u64{t[k + 1]} + (cur >> 32));
-      t[k + 1] = 0;
+      top = u128{t[k]} + carry;
+      t[k - 1] = static_cast<u64>(top);
+      t[k] = t[k + 1] + static_cast<u64>(top >> kLimbBits);
     }
-    // Conditional final subtraction: t may be in [0, 2m).
+    // t < 2m: one conditional subtraction brings it below m.
     bool ge = t[k] != 0;
     if (!ge) {
       ge = true;
       for (std::size_t i = k; i-- > 0;) {
-        if (t[i] != m[i]) {
-          ge = t[i] > m[i];
+        if (t[i] != m_[i]) {
+          ge = t[i] > m_[i];
           break;
         }
       }
     }
-    r.assign(t.begin(), t.begin() + static_cast<std::ptrdiff_t>(k));
-    if (ge) {
-      std::int64_t borrow = 0;
-      for (std::size_t i = 0; i < k; ++i) {
-        std::int64_t d = static_cast<std::int64_t>(r[i]) -
-                         static_cast<std::int64_t>(m[i]) - borrow;
-        if (d < 0) {
-          d += static_cast<std::int64_t>(kBase);
-          borrow = 1;
-        } else {
-          borrow = 0;
-        }
-        r[i] = static_cast<u32>(d);
-      }
+    if (!ge) {
+      std::copy_n(t, k, r);
+      return;
+    }
+    u64 borrow = 0;
+    for (std::size_t i = 0; i < k; ++i) {
+      u128 d = u128{t[i]} - m_[i] - borrow;
+      r[i] = static_cast<u64>(d);
+      borrow = static_cast<u64>(d >> kLimbBits) & 1;
     }
   }
+
+ private:
+  const u64* m_;
+  std::size_t k_;
+  u64 m0inv_;  // -m^-1 mod 2^64
 };
 
-BigInt from_limbs(std::vector<u32> limbs) {
-  // Round-trip through bytes to reuse normalization; cheap relative to modexp.
-  util::Bytes be;
-  be.reserve(limbs.size() * 4);
-  for (std::size_t i = limbs.size(); i-- > 0;) {
-    be.push_back(static_cast<std::uint8_t>(limbs[i] >> 24));
-    be.push_back(static_cast<std::uint8_t>(limbs[i] >> 16));
-    be.push_back(static_cast<std::uint8_t>(limbs[i] >> 8));
-    be.push_back(static_cast<std::uint8_t>(limbs[i]));
-  }
-  return BigInt::from_bytes(be);
-}
-
-std::vector<u32> to_fixed_limbs(const BigInt& v, std::size_t k) {
-  std::vector<u32> out(k, 0);
-  const auto& l = v.limbs();
-  std::copy(l.begin(), l.end(), out.begin());
-  return out;
-}
+/// Exponents longer than this use the 4-bit window.  Up to here (e = 65537
+/// above all) its 14-product table costs at least what the window saves.
+constexpr std::size_t kWindowMinExpBits = 64;
+constexpr unsigned kWindowBits = 4;
 
 }  // namespace
 
@@ -489,39 +443,64 @@ BigInt BigInt::mod_pow(const BigInt& base, const BigInt& exp, const BigInt& m) {
   if (m == BigInt(1)) return BigInt();
   BigInt b = base % m;
   if (exp.is_zero()) return BigInt(1);
+  const std::size_t bits = exp.bit_length();
 
-  if (m.is_odd()) {
-    MontCtx ctx(m);
-    const std::size_t k = ctx.k;
-    // R mod m and R^2 mod m via division (one-time cost).
-    BigInt R = BigInt(1) << (32 * k);
-    BigInt r_mod = R % m;
-    BigInt r2_mod = (r_mod * r_mod) % m;
+  const std::size_t k = m.limbs_.size();
+  if (m.is_odd() && k <= kMontMaxLimbs) {
+    const Montgomery mont(m.limbs_.data(), k);
+    auto load = [k](u64* dst, const BigInt& v) {
+      std::copy(v.limbs_.begin(), v.limbs_.end(), dst);
+      std::fill(dst + v.limbs_.size(), dst + k, u64{0});
+    };
+    // a·R mod m = mont(a, R² mod m); R² mod m by one division per call.
+    u64 r2[kMontMaxLimbs] = {};
+    load(r2, (BigInt(1) << (2 * kLimbBits * k)) % m);
+    u64 x[kMontMaxLimbs] = {};
+    load(x, b);
+    mont.mul(x, x, r2);
 
-    std::vector<u32> x = to_fixed_limbs(r_mod, k);            // 1 in Mont form
-    std::vector<u32> a = to_fixed_limbs(b, k);
-    std::vector<u32> a_bar(k), tmp(k);
-    ctx.mul(a, to_fixed_limbs(r2_mod, k), a_bar);             // a*R mod m
-
-    std::size_t bits = exp.bit_length();
-    for (std::size_t i = bits; i-- > 0;) {
-      ctx.mul(x, x, tmp);
-      x.swap(tmp);
-      if (exp.bit(i)) {
-        ctx.mul(x, a_bar, tmp);
-        x.swap(tmp);
+    if (bits <= kWindowMinExpBits) {
+      // Left-to-right square-and-multiply, starting at the top bit with x = a·R.
+      u64 a_bar[kMontMaxLimbs] = {};
+      std::copy_n(x, k, a_bar);
+      for (std::size_t i = bits - 1; i-- > 0;) {
+        mont.mul(x, x, x);
+        if (exp.bit(i)) mont.mul(x, x, a_bar);
+      }
+    } else {
+      // Fixed 4-bit window: table[d] = a^d·R for d in [1, 16).
+      u64 table[1u << kWindowBits][kMontMaxLimbs] = {};
+      std::copy_n(x, k, table[1]);
+      for (unsigned d = 2; d < (1u << kWindowBits); ++d) {
+        mont.mul(table[d], table[d - 1], table[1]);
+      }
+      auto digit = [&exp](std::size_t w) {
+        unsigned d = 0;
+        for (unsigned i = kWindowBits; i-- > 0;) {
+          d = d << 1 | static_cast<unsigned>(exp.bit(w * kWindowBits + i));
+        }
+        return d;
+      };
+      // The top window holds the exponent's top bit, so its digit is non-zero.
+      std::size_t w = (bits + kWindowBits - 1) / kWindowBits - 1;
+      std::copy_n(table[digit(w)], k, x);
+      while (w-- > 0) {
+        for (unsigned i = 0; i < kWindowBits; ++i) mont.mul(x, x, x);
+        if (unsigned d = digit(w)) mont.mul(x, x, table[d]);
       }
     }
-    // Convert out of Montgomery form: x * 1 * R^{-1}.
-    std::vector<u32> one(k, 0);
-    one[0] = 1;
-    ctx.mul(x, one, tmp);
-    return from_limbs(std::move(tmp));
+    // Out of Montgomery form: x·1·R^-1.
+    u64 one[kMontMaxLimbs] = {1};
+    mont.mul(x, x, one);
+    BigInt out;
+    out.limbs_.assign(x, x + k);
+    out.trim();
+    return out;
   }
 
-  // Even modulus: plain square-and-multiply with division-based reduction.
+  // Even modulus, or one longer than the RSA cap: square-and-multiply with
+  // division-based reduction.
   BigInt result(1);
-  std::size_t bits = exp.bit_length();
   for (std::size_t i = bits; i-- > 0;) {
     result = (result * result) % m;
     if (exp.bit(i)) result = (result * b) % m;

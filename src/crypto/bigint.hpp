@@ -1,10 +1,12 @@
 // Arbitrary-precision unsigned integers for the RSA implementation.
 //
-// Representation: little-endian vector of 32-bit limbs, normalized so the
-// most significant limb is non-zero (zero is the empty vector).  All
-// arithmetic is constant-correctness-first; modular exponentiation uses
-// Montgomery multiplication (CIOS) when the modulus is odd, which covers
-// every RSA/prime use in this codebase.
+// Representation: little-endian vector of 64-bit limbs, normalized so the
+// most significant limb is non-zero (zero is the empty vector); limb
+// products are formed in unsigned __int128.  Modular exponentiation with an
+// odd modulus of up to kMaxRsaModulusBytes (every RSA and prime use in this
+// codebase) runs one Montgomery (CIOS) kernel over fixed-size stack buffers:
+// plain square-and-multiply for exponents of up to 64 bits (e = 65537), a
+// fixed 4-bit window above that (CRT halves, Miller-Rabin).
 #pragma once
 
 #include <cstdint>
@@ -70,7 +72,8 @@ class BigInt {
   static void divmod(const BigInt& num, const BigInt& den, BigInt& quot, BigInt& rem);
 
   /// (base ^ exp) mod m.  m must be non-zero.  Uses Montgomery form for odd
-  /// m, plain square-and-multiply with division otherwise.
+  /// m within the RSA modulus cap, square-and-multiply with division
+  /// otherwise.
   static BigInt mod_pow(const BigInt& base, const BigInt& exp, const BigInt& m);
 
   /// Modular inverse of a mod m; throws std::domain_error when gcd(a, m) != 1.
@@ -83,8 +86,6 @@ class BigInt {
   /// Random integer with exactly `bits` bits (MSB forced to 1).
   static BigInt random_bits(std::size_t bits, util::RandomSource& rng);
 
-  const std::vector<std::uint32_t>& limbs() const { return limbs_; }
-
  private:
   void trim();
   /// O(n²) base multiplication; operator* switches to Karatsuba above a
@@ -94,7 +95,7 @@ class BigInt {
   BigInt split_low(std::size_t limbs) const;
   BigInt split_high(std::size_t limbs) const;
 
-  std::vector<std::uint32_t> limbs_;
+  std::vector<std::uint64_t> limbs_;
 };
 
 }  // namespace globe::crypto

@@ -99,6 +99,13 @@ Result<RsaPublicKey> RsaPublicKey::parse(BytesView data) {
     if (key.n.is_zero() || key.e.is_zero()) {
       return Result<RsaPublicKey>(ErrorCode::kProtocol, "RSA key with zero component");
     }
+    if (key.e.is_even() || key.e < BigInt(3) ||
+        key.e.bit_length() > kMaxRsaPublicExponentBits) {
+      return Result<RsaPublicKey>(
+          ErrorCode::kProtocol,
+          "RSA public exponent must be odd, >= 3 and at most " +
+              std::to_string(kMaxRsaPublicExponentBits) + " bits");
+    }
     return key;
   } catch (const util::SerialError& e) {
     return Result<RsaPublicKey>(ErrorCode::kProtocol, e.what());

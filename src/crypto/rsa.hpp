@@ -22,6 +22,12 @@ namespace globe::crypto {
 /// verifier allocate or exponentiate against an absurd modulus.
 inline constexpr std::size_t kMaxRsaModulusBytes = 1024;
 
+/// Ceiling on a wire-decoded public exponent.  A verify costs one modular
+/// squaring per exponent bit, so an unbounded e would let a key owner make
+/// each verify as slow as a private-key operation.  parse() also rejects an
+/// even e or one below 3; rsa_generate() always uses 65537.
+inline constexpr std::size_t kMaxRsaPublicExponentBits = 32;
+
 struct RsaPublicKey {
   BigInt n;  // modulus
   BigInt e;  // public exponent

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "crypto/drbg.hpp"
 #include "util/bytes.hpp"
 
@@ -105,6 +108,73 @@ TEST(BigIntTest, ShiftsInverse) {
   EXPECT_TRUE((a >> 200).is_zero());
 }
 
+// 64-bit limb edges: a value one byte short of, exactly at and one byte past
+// one and two whole limbs.
+TEST(BigIntTest, BytesRoundTripAtLimbEdges) {
+  auto rng = HmacDrbg::from_seed(11);
+  for (std::size_t len : {7u, 8u, 9u, 15u, 16u, 17u}) {
+    Bytes be = rng.bytes(len);
+    be[0] |= 0x80;
+    BigInt v = BigInt::from_bytes(be);
+    EXPECT_EQ(v.to_bytes(), be) << "len=" << len;
+    EXPECT_EQ(v.bit_length(), 8 * len) << "len=" << len;
+    std::uint64_t low = 0;
+    for (std::size_t i = len > 8 ? len - 8 : 0; i < len; ++i) low = low << 8 | be[i];
+    EXPECT_EQ(v.low_u64(), low) << "len=" << len;
+    Bytes padded = v.to_bytes(len + 1);
+    EXPECT_EQ(padded[0], 0) << "len=" << len;
+    EXPECT_EQ(Bytes(padded.begin() + 1, padded.end()), be) << "len=" << len;
+    // A leading zero byte that crosses a limb boundary is dropped.
+    Bytes with_zero = be;
+    with_zero.insert(with_zero.begin(), 0);
+    EXPECT_EQ(BigInt::from_bytes(with_zero), v) << "len=" << len;
+  }
+}
+
+TEST(BigIntTest, ShiftsAtLimbEdges) {
+  BigInt a = BigInt::from_hex("123456789abcdef0fedcba9876543211");
+  EXPECT_EQ((a << 63).to_hex(), "91a2b3c4d5e6f787f6e5d4c3b2a19088000000000000000");
+  EXPECT_EQ((a << 64).to_hex(), "123456789abcdef0fedcba98765432110000000000000000");
+  EXPECT_EQ((a << 65).to_hex(), "2468acf13579bde1fdb97530eca864220000000000000000");
+  EXPECT_EQ((a >> 63).to_hex(), "2468acf13579bde1");
+  EXPECT_EQ((a >> 64).to_hex(), "123456789abcdef0");
+  EXPECT_EQ((a >> 65).to_hex(), "91a2b3c4d5e6f78");
+  for (std::size_t s : {63u, 64u, 65u}) {
+    EXPECT_EQ((a << s) >> s, a) << "shift=" << s;
+    EXPECT_EQ((BigInt(1) << s).bit_length(), s + 1) << "shift=" << s;
+  }
+}
+
+TEST(BigIntTest, DivisionByDivisorWithTopLimbOne) {
+  // The divisor's top limb is 1, so Knuth D normalizes by 63 bits.
+  BigInt den = BigInt::from_hex("10123456789abcdef0123456789abcdef");
+  BigInt num = BigInt::from_hex(
+      "fedcba9876543210fedcba9876543210fedcba9876543210fedcba9876543210");
+  BigInt q, r;
+  BigInt::divmod(num, den, q, r);
+  EXPECT_EQ(q.to_hex(), "fdbc090fdbc090ffd958acbd048d0fcb");
+  EXPECT_EQ(r.to_hex(), "96e723cf3a306357bb4a80221163e48b");
+  auto rng = HmacDrbg::from_seed(12);
+  for (int i = 0; i < 20; ++i) {
+    BigInt d = (BigInt(1) << 128) + BigInt::random_bits(100, rng);
+    BigInt n = BigInt::random_bits(64 + static_cast<std::size_t>(rng.u64() % 512), rng);
+    BigInt::divmod(n, d, q, r);
+    EXPECT_EQ(q * d + r, n);
+    EXPECT_LT(r, d);
+  }
+}
+
+TEST(BigIntTest, DivisionTakesAddBackBranch) {
+  // (2^191 + 3) / (2^189 + 1): the two-digit estimate gives q̂ = 4, and the
+  // multiply-and-subtract goes negative, so Knuth D adds the divisor back.
+  BigInt num = (BigInt(1) << 191) + BigInt(3);
+  BigInt den = (BigInt(1) << 189) + BigInt(1);
+  BigInt q, r;
+  BigInt::divmod(num, den, q, r);
+  EXPECT_EQ(q, BigInt(3));
+  EXPECT_EQ(r, BigInt(1) << 189);
+}
+
 TEST(BigIntTest, DivisionKnownValues) {
   BigInt a = BigInt::from_dec("1000000000000000000000000000007");
   BigInt b = BigInt::from_dec("1000003");
@@ -197,6 +267,18 @@ TEST(BigIntTest, ModPowEvenModulusAgrees) {
   }
 }
 
+// Division-based left-to-right square-and-multiply: the reference the
+// Montgomery kernel is checked against.
+BigInt reference_mod_pow(const BigInt& base, const BigInt& exp, const BigInt& m) {
+  BigInt b = base % m;
+  BigInt result = BigInt(1) % m;
+  for (std::size_t i = exp.bit_length(); i-- > 0;) {
+    result = (result * result) % m;
+    if (exp.bit(i)) result = (result * b) % m;
+  }
+  return result;
+}
+
 // Property: Montgomery path agrees with naive square-and-multiply for odd
 // moduli across many random cases.
 class BigIntModPowProperty : public ::testing::TestWithParam<int> {};
@@ -208,18 +290,48 @@ TEST_P(BigIntModPowProperty, MontgomeryMatchesNaive) {
     if (m.is_even()) m = m + BigInt(1);
     BigInt base = BigInt::random_bits(100, rng);
     BigInt exp = BigInt::random_bits(24, rng);
-    // Naive reference.
-    BigInt expected(1);
-    BigInt b = base % m;
-    for (std::size_t i = exp.bit_length(); i-- > 0;) {
-      expected = (expected * expected) % m;
-      if (exp.bit(i)) expected = (expected * b) % m;
-    }
-    EXPECT_EQ(BigInt::mod_pow(base, exp, m), expected);
+    EXPECT_EQ(BigInt::mod_pow(base, exp, m), reference_mod_pow(base, exp, m));
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BigIntModPowProperty, ::testing::Range(0, 8));
+
+// Property: the Montgomery kernel agrees with the reference for odd moduli of
+// a given limb count, up to the 8192-bit RSA cap, across the exponents that
+// take each path (0, 1, 2, 65537 and up to 64 bits square-and-multiply;
+// 65 bits and full length windowed) and the edge bases 0, 1, m−1 and ≥ m.
+class BigIntModPowLimbsProperty : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(BigIntModPowLimbsProperty, MontgomeryMatchesReference) {
+  const std::size_t limbs = GetParam();
+  auto rng = HmacDrbg::from_seed(4000 + limbs);
+  BigInt m = BigInt::random_bits(64 * limbs, rng);
+  if (m.is_even()) m = m + BigInt(1);
+  const BigInt m1 = m - BigInt(1);
+  const BigInt full = BigInt::random_bits(64 * limbs, rng);
+  const BigInt above = m + BigInt::random_bits(64 * limbs - 1, rng);  // >= m
+
+  for (const BigInt& e : {BigInt(0), BigInt(1), BigInt(2), BigInt(65537),
+                          (BigInt(1) << 64) - BigInt(1), (BigInt(1) << 64) + BigInt(1)}) {
+    SCOPED_TRACE("exp=" + e.to_hex());
+    const BigInt one_if_zero = e.is_zero() ? BigInt(1) : BigInt();
+    EXPECT_EQ(BigInt::mod_pow(BigInt(), e, m), one_if_zero);
+    EXPECT_EQ(BigInt::mod_pow(BigInt(1), e, m), BigInt(1));
+    EXPECT_EQ(BigInt::mod_pow(m1, e, m), e.is_odd() ? m1 : BigInt(1));
+    EXPECT_EQ(BigInt::mod_pow(m, e, m), one_if_zero);
+    EXPECT_EQ(BigInt::mod_pow(above, e, m), reference_mod_pow(above, e, m));
+  }
+  // One full-length exponent per size: at 8192 bits each exponentiation
+  // runs ~10k products.
+  EXPECT_EQ(BigInt::mod_pow(above, full, m), reference_mod_pow(above, full, m));
+  EXPECT_EQ(BigInt::mod_pow(m1, full, m), full.is_odd() ? m1 : BigInt(1));
+  // A verify's shape: a base below m, e = 65537.
+  BigInt a = BigInt::random_below(m, rng);
+  EXPECT_EQ(BigInt::mod_pow(a, BigInt(65537), m), reference_mod_pow(a, BigInt(65537), m));
+}
+
+INSTANTIATE_TEST_SUITE_P(Limbs, BigIntModPowLimbsProperty,
+                         ::testing::Values(1, 2, 7, 8, 9, 16, 17, 32, 64, 128));
 
 TEST(BigIntTest, ModInverseKnownValues) {
   // 3 * 4 = 12 = 1 mod 11.
@@ -277,9 +389,9 @@ class BigIntKaratsubaProperty : public ::testing::TestWithParam<int> {};
 TEST_P(BigIntKaratsubaProperty, LargeMultiplicationConsistency) {
   auto rng = HmacDrbg::from_seed(3000 + static_cast<std::uint64_t>(GetParam()));
   for (int iter = 0; iter < 4; ++iter) {
-    // Sizes chosen to straddle the Karatsuba threshold (24 limbs = 768 bits).
-    std::size_t abits = 512 + static_cast<std::size_t>(rng.u64() % 2048);
-    std::size_t bbits = 512 + static_cast<std::size_t>(rng.u64() % 2048);
+    // Sizes chosen to straddle the Karatsuba threshold (64 limbs = 4096 bits).
+    std::size_t abits = 2048 + static_cast<std::size_t>(rng.u64() % 6144);
+    std::size_t bbits = 2048 + static_cast<std::size_t>(rng.u64() % 6144);
     BigInt a = BigInt::random_bits(abits, rng);
     BigInt b = BigInt::random_bits(bbits, rng);
     BigInt c = BigInt::random_bits(256, rng);
@@ -299,9 +411,9 @@ TEST_P(BigIntKaratsubaProperty, LargeMultiplicationConsistency) {
 INSTANTIATE_TEST_SUITE_P(Seeds, BigIntKaratsubaProperty, ::testing::Range(0, 6));
 
 TEST(BigIntTest, KaratsubaKnownLargeProduct) {
-  // (2^1024 - 1)^2 = 2^2048 - 2^1025 + 1.
-  BigInt m = (BigInt(1) << 1024) - BigInt(1);
-  BigInt expected = (BigInt(1) << 2048) - (BigInt(1) << 1025) + BigInt(1);
+  // (2^8192 - 1)^2 = 2^16384 - 2^8193 + 1.
+  BigInt m = (BigInt(1) << 8192) - BigInt(1);
+  BigInt expected = (BigInt(1) << 16384) - (BigInt(1) << 8193) + BigInt(1);
   EXPECT_EQ(m * m, expected);
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "crypto/drbg.hpp"
 
 namespace globe::crypto {
@@ -26,6 +28,34 @@ TEST(PrimeTest, CarmichaelNumbersRejected) {
   auto rng = HmacDrbg::from_seed(3);
   for (std::uint64_t c : {561u, 1105u, 1729u, 2465u, 2821u, 41041u, 825265u}) {
     EXPECT_FALSE(is_probable_prime(BigInt(c), rng)) << c;
+  }
+}
+
+TEST(PrimeTest, CarmichaelNumbersRejectedAcrossLimbs) {
+  // Chernick's (6k+1)(12k+1)(18k+1) is a Carmichael number when all three
+  // factors are prime.  These k give one full 64-bit limb, one bit past it,
+  // two full limbs, one bit past that, and three limbs.  From 128 bits on
+  // the Miller-Rabin exponent is longer than 64 bits, so mod_pow takes its
+  // windowed path.
+  auto rng = HmacDrbg::from_seed(7);
+  const std::pair<std::uint64_t, std::size_t> cases[] = {
+      {192451u, 64u},
+      {242396u, 65u},
+      {508239190405u, 128u},
+      {640341253625u, 129u},
+      {1342892938398572766u, 192u}};
+  for (const auto& [k, bits] : cases) {
+    const BigInt bk(k);
+    const BigInt factors[] = {BigInt(6) * bk + BigInt(1), BigInt(12) * bk + BigInt(1),
+                              BigInt(18) * bk + BigInt(1)};
+    const BigInt n = factors[0] * factors[1] * factors[2];
+    ASSERT_EQ(n.bit_length(), bits) << "k=" << k;
+    for (const BigInt& p : factors) {
+      // Korselt's criterion: p | n and (p - 1) | (n - 1).
+      EXPECT_TRUE(((n - BigInt(1)) % (p - BigInt(1))).is_zero()) << "k=" << k;
+      EXPECT_TRUE(is_probable_prime(p, rng)) << "k=" << k;
+    }
+    EXPECT_FALSE(is_probable_prime(n, rng)) << "k=" << k;
   }
 }
 

@@ -179,6 +179,31 @@ TEST(RsaTest, DeterministicKeygenFromSeed) {
   EXPECT_EQ(a.pub, b.pub);
 }
 
+// Known-answer pins.  Keys drawn from a seeded DRBG feed OIDs, the
+// deterministic sim series and e2ebench's fixed per-slot keys, so a change
+// in the arithmetic layer must not move a generated key or a signature by
+// one bit.
+TEST(RsaKnownAnswerTest, Keygen1024FromSeed4242) {
+  EXPECT_EQ(util::hex_encode(Sha1::digest_bytes(test_key().pub.serialize())),
+            "7929d1230406db46290a2d55e149b8bed45df684");
+}
+
+TEST(RsaKnownAnswerTest, Keygen512FromSeed31337) {
+  auto rng = HmacDrbg::from_seed(31337);
+  RsaKeyPair kp = rsa_generate(512, rng);
+  EXPECT_EQ(util::hex_encode(Sha1::digest_bytes(kp.pub.serialize())),
+            "2234fc4ea3c45851c657ed1eb83d4bcd61c675ed");
+}
+
+TEST(RsaKnownAnswerTest, Sha1SignatureBytes) {
+  Bytes sig = rsa_sign_sha1(test_key().priv, to_bytes("GlobeDoc known-answer message"));
+  EXPECT_EQ(util::hex_encode(sig),
+            "45e1938a1c7c532deaf6a64b85b17b05aa698c97272a7d908e6fc89b625d63ee"
+            "2d057036c2d6192caa1ba5c6c646f42ea9b5d5d330cffb4b13760b2d0a84ab7d"
+            "53a83ce678746bd056c7cb1987e100f8884a165889f4d903bf4be00fd0ca73ff"
+            "aa92a05e6ed5830dbeb910d2665fc8c5de500a10119345b31df2e3be53154b5f");
+}
+
 TEST(RsaTest, SmallKeySignVerify) {
   auto rng = HmacDrbg::from_seed(606);
   RsaKeyPair kp = rsa_generate(512, rng);
@@ -203,6 +228,34 @@ TEST(RsaParseTest, RejectsOversizedModulus) {
   auto key = RsaPublicKey::parse(w.take());
   EXPECT_FALSE(key.is_ok());
   EXPECT_EQ(key.code(), util::ErrorCode::kProtocol);
+}
+
+TEST(RsaParseTest, RejectsOversizedPublicExponent) {
+  // The key a verifier exponentiates with comes off the wire.  A long public
+  // exponent makes one verify cost as much as a private-key operation (an
+  // 8192-bit e against an 8192-bit n takes most of a second), so parse()
+  // takes only odd exponents from 3 up to 32 bits, which covers every key
+  // that rsa_generate() makes (e = 65537).
+  const Bytes n = test_key().pub.n.to_bytes();
+  auto parse_with_e = [&](const Bytes& e) {
+    util::Writer w;
+    w.bytes(n);
+    w.bytes(e);
+    return RsaPublicKey::parse(w.take());
+  };
+  for (const Bytes& bad : {Bytes(kMaxRsaModulusBytes, 0xFF),  // 8192-bit e
+                           Bytes{0x01, 0x00, 0x00, 0x00, 0x01},  // 33 bits
+                           Bytes{0x01, 0x00, 0x00},              // even
+                           Bytes{0x01}}) {                       // below 3
+    auto key = parse_with_e(bad);
+    EXPECT_FALSE(key.is_ok()) << util::hex_encode(bad);
+    EXPECT_EQ(key.code(), util::ErrorCode::kProtocol) << util::hex_encode(bad);
+  }
+  for (const Bytes& good : {Bytes{0x03}, Bytes{0x01, 0x00, 0x01},
+                            Bytes{0xFF, 0xFF, 0xFF, 0xFF},
+                            Bytes{0x00, 0x00, 0x01, 0x00, 0x01}}) {  // leading zeros
+    EXPECT_TRUE(parse_with_e(good).is_ok()) << util::hex_encode(good);
+  }
 }
 }  // namespace
 }  // namespace globe::crypto
