@@ -359,7 +359,8 @@ http::HttpResponse GlobeDocProxy::handle_browser_request(
   if (is_hybrid_url(request.target)) {
     auto result = fetch_url(request.target);
     if (result.is_ok()) {
-      auto resp = http::HttpResponse::make(200, "OK", result->element.content,
+      auto resp = http::HttpResponse::make(200, "OK",
+                                           std::move(result->element.content),
                                            result->element.content_type);
       if (result->certified_as.has_value()) {
         resp.headers.set("X-GlobeDoc-Certified-As", *result->certified_as);

@@ -4,9 +4,11 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 
 #include "util/log.hpp"
@@ -32,33 +34,53 @@ bool read_exact(int fd, std::uint8_t* buf, std::size_t n) {
   return true;
 }
 
-bool write_all(int fd, const std::uint8_t* buf, std::size_t n) {
-  std::size_t sent = 0;
-  while (sent < n) {
-    ssize_t r = ::send(fd, buf + sent, n - sent, MSG_NOSIGNAL);
+constexpr std::uint8_t kReplyError = 0;
+constexpr std::uint8_t kReplyOk = 1;
+
+/// Writes one frame: the u32 length, then `flag` (replies only), then
+/// `payload`, gathered into one sendmsg so a small frame is one segment.
+/// Short writes resume mid-iovec.  Returns false when the peer is gone.
+bool send_frame(int fd, BytesView payload,
+                std::optional<std::uint8_t> flag = std::nullopt) {
+  std::size_t n = payload.size() + (flag ? 1 : 0);
+  std::uint8_t head[5] = {
+      static_cast<std::uint8_t>(n >> 24), static_cast<std::uint8_t>(n >> 16),
+      static_cast<std::uint8_t>(n >> 8), static_cast<std::uint8_t>(n),
+      flag.value_or(0),
+  };
+  iovec iov[2] = {{head, flag ? 5u : 4u},
+                  {const_cast<std::uint8_t*>(payload.data()), payload.size()}};
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = payload.empty() ? 1 : 2;
+  while (msg.msg_iovlen > 0) {
+    ssize_t r = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (r <= 0) return false;
-    sent += static_cast<std::size_t>(r);
+    auto sent = static_cast<std::size_t>(r);
+    while (msg.msg_iovlen > 0 && sent >= msg.msg_iov->iov_len) {
+      sent -= msg.msg_iov->iov_len;
+      ++msg.msg_iov;
+      --msg.msg_iovlen;
+    }
+    if (msg.msg_iovlen > 0) {
+      msg.msg_iov->iov_base = static_cast<std::uint8_t*>(msg.msg_iov->iov_base) + sent;
+      msg.msg_iov->iov_len -= sent;
+    }
   }
   return true;
 }
 
-bool send_frame(int fd, BytesView payload) {
-  std::uint8_t len[4] = {
-      static_cast<std::uint8_t>(payload.size() >> 24),
-      static_cast<std::uint8_t>(payload.size() >> 16),
-      static_cast<std::uint8_t>(payload.size() >> 8),
-      static_cast<std::uint8_t>(payload.size()),
-  };
-  return write_all(fd, len, 4) && write_all(fd, payload.data(), payload.size());
-}
-
 constexpr std::size_t kMaxFrame = 64 * 1024 * 1024;
+
+std::size_t frame_length(const std::uint8_t* len) {
+  return std::size_t{len[0]} << 24 | std::size_t{len[1]} << 16 |
+         std::size_t{len[2]} << 8 | len[3];
+}
 
 bool recv_frame(int fd, Bytes& out) {
   std::uint8_t len[4];
   if (!read_exact(fd, len, 4)) return false;
-  std::size_t n = std::size_t{len[0]} << 24 | std::size_t{len[1]} << 16 |
-                  std::size_t{len[2]} << 8 | len[3];
+  std::size_t n = frame_length(len);
   if (n > kMaxFrame) return false;
   out.assign(n, 0);
   return n == 0 || read_exact(fd, out.data(), n);
@@ -142,16 +164,16 @@ void TcpServer::serve_connection(int fd) {
       result = Result<Bytes>(ErrorCode::kInternal,
                              std::string("handler threw: ") + e.what());
     }
-    util::Writer w;
+    bool sent = false;
     if (result.is_ok()) {
-      w.u8(1);
-      w.raw(*result);
+      sent = send_frame(fd, *result, kReplyOk);
     } else {
-      w.u8(0);
+      util::Writer w;
       w.u8(static_cast<std::uint8_t>(result.status().code()));
       w.str(result.status().message());
+      sent = send_frame(fd, w.buffer(), kReplyError);
     }
-    if (!send_frame(fd, w.buffer())) break;
+    if (!sent) break;
   }
   ::close(fd);
 }
@@ -194,17 +216,33 @@ Result<Bytes> TcpTransport::call(const Endpoint& ep, BytesView request) {
     ::close(fd);
     return Result<Bytes>(ErrorCode::kUnavailable, "send failed");
   }
-  Bytes frame;
-  if (!recv_frame(fd, frame)) {
+  auto closed = [&] {
     connections_.erase(ep.port);
     ::close(fd);
     return Result<Bytes>(ErrorCode::kUnavailable, "connection closed by peer");
-  }
-  try {
-    util::Reader r(frame);
-    if (r.u8() == 1) {
-      return r.raw(r.remaining());
+  };
+  // The u32 length and the reply flag arrive in one read.  The read stops
+  // at 4 bytes when the length alone decides the outcome: an empty frame
+  // has no flag byte, and an oversized one is refused unread.
+  std::uint8_t head[5] = {};
+  std::size_t want = 5;
+  for (std::size_t got = 0; got < want;) {
+    ssize_t r = ::recv(fd, head + got, want - got, 0);
+    if (r <= 0) return closed();
+    got += static_cast<std::size_t>(r);
+    if (got >= 4 && (frame_length(head) == 0 || frame_length(head) > kMaxFrame)) {
+      want = 4;
     }
+  }
+  std::size_t n = frame_length(head);
+  if (n > kMaxFrame) return closed();
+  if (n == 0) return Result<Bytes>(ErrorCode::kProtocol, "empty reply frame");
+  // An OK payload is read straight into the returned buffer.
+  Bytes body(n - 1);
+  if (!read_exact(fd, body.data(), body.size())) return closed();
+  if (head[4] == kReplyOk) return body;
+  try {
+    util::Reader r(body);
     auto code = static_cast<ErrorCode>(r.u8());
     return Result<Bytes>(code, r.str());
   } catch (const util::SerialError& e) {

@@ -1,10 +1,13 @@
 // Live TCP loopback transport implementing the same Transport /
-// MessageHandler contract as the simulator, so examples and integration
-// tests can run the identical protocol stack over real sockets.
+// MessageHandler contract as the simulator, so examples, integration tests
+// and e2ebench can run the identical protocol stack over real sockets.
 //
 // Framing: every message is a u32 (big-endian) length followed by that many
-// bytes.  Responses add a one-byte OK flag; failures carry an ErrorCode byte
-// plus a UTF-8 message.  Endpoints use the port only (host 127.0.0.1).
+// bytes.  Responses start with a one-byte OK flag; failures carry an
+// ErrorCode byte plus a UTF-8 message after it.  Each frame (length, reply
+// flag and payload) is written by one sendmsg, so no buffer is copied to
+// frame it; the bytes on the wire are the same as with separate writes.
+// Endpoints use the port only (host 127.0.0.1).
 #pragma once
 
 #include <atomic>

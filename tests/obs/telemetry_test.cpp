@@ -480,7 +480,8 @@ TEST_F(FleetFixture, DeadTargetGoesStaleWithoutPoisoningMergedView) {
 
   agg.scrape_round(*flow);
 
-  const MetricSample* cluster = find(agg.merged(), "x", {});
+  Snapshot merged = agg.merged();
+  const MetricSample* cluster = find(merged, "x", {});
   ASSERT_NE(cluster, nullptr);
   EXPECT_DOUBLE_EQ(cluster->value, 5);  // healthy nodes only
 
@@ -498,8 +499,9 @@ TEST_F(FleetFixture, DeadTargetGoesStaleWithoutPoisoningMergedView) {
   EXPECT_TRUE(saw_ghost);
 
   // telemetry.scrape_errors names the failing node.
+  merged = agg.merged();
   const MetricSample* errors =
-      find(agg.merged(), "telemetry.scrape_errors",
+      find(merged, "telemetry.scrape_errors",
            {{"node", "ghost-1"}, {"role", "aggregator"}});
   ASSERT_NE(errors, nullptr);
   EXPECT_DOUBLE_EQ(errors->value, 1);

@@ -26,6 +26,15 @@ Documents"):
   stale          an allowlist entry that no longer needs the exemption would
                  silently admit the next raw call added to that file.
 
+  raw-socket     Raw socket I/O (::send/::recv/::sendmsg/::recvmsg/::write/
+                 ::read/::writev/::readv) inside src/ is allowed only in the
+                 live transport (src/net/tcp.cpp), which writes each frame
+                 with one sendmsg; any other path would bypass the framing.
+                 tests/, bench/ and examples/ are exempt.
+
+  raw-socket-    Every RAW_SOCKET_ALLOWED file must still make a raw socket
+  stale          call, for the same reason as raw-crypto-stale.
+
   no-rand        rand()/std::rand/srand/random() are banned everywhere: all
                  randomness flows through the DRBG (crypto::HmacDrbg) or the
                  seeded simulation RNG (util::SplitMix64), keeping runs
@@ -143,6 +152,19 @@ RAW_CRYPTO_ALLOWED = {
 RAW_CRYPTO_ALLOWED_DIRS = ("src/crypto/", "tests/", "bench/", "examples/")
 
 # ---------------------------------------------------------------------------
+# raw-socket: socket reads and writes allowed only in the live transport.
+# ---------------------------------------------------------------------------
+
+# A global-namespace call (`::send(`), not a member such as `out::write(`.
+RAW_SOCKET_RE = re.compile(
+    r"(?<![\w>)\]])::(send|recv|sendmsg|recvmsg|write|read|writev|readv)\s*\("
+)
+
+# The one file that owns frame I/O on real sockets (src/net/tcp.cpp: one
+# sendmsg per frame).  Everything else goes through net::TcpTransport.
+RAW_SOCKET_ALLOWED = {"src/net/tcp.cpp"}
+
+# ---------------------------------------------------------------------------
 # no-rand: libc randomness is banned everywhere.
 # ---------------------------------------------------------------------------
 
@@ -246,6 +268,17 @@ def check_file(path: pathlib.Path, violations: list[str]) -> None:
                 f"src/crypto and the designated verification sites"
             )
 
+        # --- raw-socket: src/ only, outside the live transport ---
+        if (
+            rel.startswith("src/")
+            and rel not in RAW_SOCKET_ALLOWED
+            and RAW_SOCKET_RE.search(code)
+        ):
+            violations.append(
+                f"{rel}:{lineno}: [raw-socket] raw socket I/O outside "
+                f"src/net/tcp.cpp; send and receive through net::TcpTransport"
+            )
+
         # --- unchecked: discarded verification result ---
         if rel.startswith("src/") and not prev_continues and UNCHECKED_RE.match(code):
             violations.append(
@@ -292,16 +325,22 @@ def check_file(path: pathlib.Path, violations: list[str]) -> None:
         # never contain blank lines in this tree, but comments may intervene)
 
 
-def check_raw_crypto_allowlist(violations: list[str]) -> None:
-    """Every RAW_CRYPTO_ALLOWED file must still make a raw primitive call."""
-    for rel in sorted(RAW_CRYPTO_ALLOWED):
-        path = REPO / rel
-        lines = (path.read_text(encoding="utf-8", errors="replace").splitlines()
-                 if path.is_file() else [])
-        if not any(RAW_CRYPTO_RE.search(code) for _, code in code_lines(lines)):
-            violations.append(
-                f"tools/lint.py: [raw-crypto-stale] RAW_CRYPTO_ALLOWED entry "
-                f"\"{rel}\" makes no raw primitive call — remove the entry")
+def check_allowlists(violations: list[str]) -> None:
+    """Every allowlisted file must still make the call it is exempted for."""
+    for tag, name, allowed, pattern, what in (
+        ("raw-crypto-stale", "RAW_CRYPTO_ALLOWED", RAW_CRYPTO_ALLOWED,
+         RAW_CRYPTO_RE, "raw primitive call"),
+        ("raw-socket-stale", "RAW_SOCKET_ALLOWED", RAW_SOCKET_ALLOWED,
+         RAW_SOCKET_RE, "raw socket call"),
+    ):
+        for rel in sorted(allowed):
+            path = REPO / rel
+            lines = (path.read_text(encoding="utf-8", errors="replace").splitlines()
+                     if path.is_file() else [])
+            if not any(pattern.search(code) for _, code in code_lines(lines)):
+                violations.append(
+                    f"tools/lint.py: [{tag}] {name} entry "
+                    f"\"{rel}\" makes no {what} — remove the entry")
 
 
 def check_metric_catalog(violations: list[str]) -> None:
@@ -461,7 +500,7 @@ def run_lint() -> int:
     violations: list[str] = []
     for path in iter_sources():
         check_file(path, violations)
-    check_raw_crypto_allowlist(violations)
+    check_allowlists(violations)
     check_metric_catalog(violations)
     check_probe_catalog(violations)
     check_slo_catalog(violations)
@@ -525,6 +564,44 @@ SELF_TEST_CASES = [
         "raw sha1 in test clean",
         "tests/crypto/sha1_test.cpp",
         "  auto d = crypto::Sha1::digest_bytes(body);\n",
+        None,
+    ),
+    # run_self_test seeds src/net/tcp.cpp, the one RAW_SOCKET_ALLOWED file,
+    # with a raw call unless the case under test owns that path.
+    (
+        "raw send outside the transport fires",
+        "src/http/client.cpp",
+        "  ssize_t r = ::send(fd, buf, n, MSG_NOSIGNAL);\n",
+        "raw-socket",
+    ),
+    (
+        "raw writev outside the transport fires",
+        "src/globedoc/proxy_http.cpp",
+        "  if (::writev(fd, iov, 2) < 0) return false;\n",
+        "raw-socket",
+    ),
+    (
+        "raw sendmsg in the transport clean",
+        "src/net/tcp.cpp",
+        "  ssize_t r = ::sendmsg(fd, &msg, MSG_NOSIGNAL);\n",
+        None,
+    ),
+    (
+        "transport without raw call fires",
+        "src/net/tcp.cpp",
+        "  auto r = transport.call(ep, request);\n",
+        "raw-socket-stale",
+    ),
+    (
+        "member write clean",
+        "src/util/log.cpp",
+        "  out.write(buf, n);\n  std::ostream::write(buf, n);\n",
+        None,
+    ),
+    (
+        "raw recv in test clean",
+        "tests/net/tcp_test.cpp",
+        "  ssize_t r = ::recv(fd, buf, n, 0);\n",
         None,
     ),
     (
@@ -743,6 +820,11 @@ def run_self_test() -> int:
             capfile = root / CAPACITY_BOUNDS
             if not capfile.exists():
                 capfile.write_text("64 util.Registered.ring_  # self-test seed\n")
+            # Minimal raw-socket allowlist with a live designated file.
+            seedsocket = root / "src/net/tcp.cpp"
+            if not seedsocket.exists():
+                seedsocket.parent.mkdir(parents=True, exist_ok=True)
+                seedsocket.write_text("  ssize_t r = ::recv(fd, buf, n, 0);\n")
             # Minimal raw-crypto allowlist with a live designated site.
             seedsite = root / "src/globedoc/integrity.cpp"
             if not seedsite.exists():
@@ -763,7 +845,7 @@ def run_self_test() -> int:
                 REPO = root
                 RAW_CRYPTO_ALLOWED = {"src/globedoc/integrity.cpp"}
                 check_file(target, violations)
-                check_raw_crypto_allowlist(violations)
+                check_allowlists(violations)
                 check_metric_catalog(violations)
                 check_probe_catalog(violations)
                 check_slo_catalog(violations)
