@@ -61,6 +61,9 @@ void sleep_for(int ms);
 }  // namespace util
 
 namespace std {
+template <class It, class T>
+void fill(It first, It last, const T& value);
+
 template <class T>
 class function;
 template <class R, class... A>

@@ -52,9 +52,9 @@ from __future__ import annotations
 import os
 import re
 import sys
-from dataclasses import dataclass, field
 
 from cxxscan import cli
+from cxxscan.cli import Finding
 from cxxscan.flow import (ANNOT_UNTRUSTED, FILTER, Flow, FlowFinding,
                           SinkPath, dedupe)
 from cxxscan.ir import REPO, Arg, Program, all_calls, subsys_of
@@ -111,15 +111,6 @@ FIXTURES = os.path.join(REPO, "tests", "bounds", "fixtures")
 
 def _program():
     return Program(annots=ANNOTS)
-
-
-@dataclass
-class Finding:
-    kind: str          # growth | growth-unenforced
-    key: str
-    file: str = ""
-    line: int = 0
-    detail: list = field(default_factory=list)
 
 
 def _literal_arg(arg: Arg) -> bool:
@@ -275,27 +266,7 @@ class Analyzer(Flow):
 def load_capacity(path):
     """Lines: `<capacity> <subsys>.<Class>.<member>  # note`.  Capacity 0
     means the member grows only during trusted configuration."""
-    caps = {}
-    if not os.path.exists(path):
-        return caps
-    for lineno, raw in enumerate(open(path, encoding="utf-8"), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise SystemExit(f"{path}:{lineno}: expected "
-                             f"`<capacity> <memberid>`, got: {raw.strip()}")
-        try:
-            cap = int(parts[0])
-        except ValueError:
-            raise SystemExit(f"{path}:{lineno}: capacity must be an integer")
-        if cap < 0:
-            raise SystemExit(f"{path}:{lineno}: capacity must be >= 0")
-        if parts[1] in caps:
-            raise SystemExit(f"{path}:{lineno}: duplicate member {parts[1]}")
-        caps[parts[1]] = cap
-    return caps
+    return cli.load_registry(path, "capacity", "member", minimum=0)
 
 
 _HEADLINE = {
@@ -309,22 +280,17 @@ _HEADLINE = {
 
 
 def render(fd) -> str:
-    lines = [_HEADLINE.get(fd.kind, "BOUNDS: finding")]
-    if fd.file:
-        lines.append(f"  at {fd.file}:{fd.line}")
+    detail = fd.detail
     if isinstance(fd, FlowFinding):
         src, path = fd.source, fd.sink
-        lines += [f"  source: {src[0]}",
+        detail = [f"  source: {src[0]}",
                   f"          reaches taint at {src[1]}:{src[2]}",
                   f"  alloc:  {path.sink} at {path.file}:{path.line}",
                   "  path:"]
-        lines += [f"    {fn} at {fl}:{ln}" for fn, fl, ln in path.chain]
-        lines.append("  fix: validate the size with a GLOBE_LENGTH_GUARD "
-                     "clamp (util::checked_count) before allocating")
-    else:
-        lines.extend(fd.detail)
-    lines.append(f"  suppression key: {fd.key}")
-    return "\n".join(lines)
+        detail += [f"    {fn} at {fl}:{ln}" for fn, fl, ln in path.chain]
+        detail.append("  fix: validate the size with a GLOBE_LENGTH_GUARD "
+                      "clamp (util::checked_count) before allocating")
+    return cli.render(_HEADLINE[fd.kind], fd, detail)
 
 
 def build_program(args):
@@ -374,8 +340,7 @@ def run_list(args):
     return 0
 
 
-EXPECT_RE = re.compile(
-    r"//\s*BOUNDS-EXPECT:\s*(clean|flag\s+kind=(\S+)(?:\s+detail=(\S+))?)")
+EXPECT_RE, EXPECT_MATCH = cli.kind_expect("BOUNDS")
 CAPACITY_RE = re.compile(r"//\s*BOUNDS-CAPACITY:\s*(\d+)\s+(\S+)")
 
 
@@ -390,8 +355,7 @@ def run_self_test(args):
         "bounds", FIXTURES, EXPECT_RE, args.frontend,
         lambda path, use_clang: cli.build_fixture(path, use_clang,
                                                      _program),
-        analyze,
-        lambda fd, e: fd.kind == e[1] and (not e[2] or e[2] in fd.key))
+        analyze, EXPECT_MATCH)
 
 
 def main():

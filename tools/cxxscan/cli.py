@@ -1,11 +1,14 @@
 """What every analyzer's command line shares: source collection, frontend
-choice with lite fallback, baseline suppression and the fixture harness."""
+choice with lite fallback, the `<int> <id>` registry loader, baseline
+suppression and the fixture harness."""
 
 from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
+from dataclasses import dataclass, field
 
 from .clang_frontend import (build_program_clang, build_program_clang_single,
                              walk_tu)
@@ -95,6 +98,50 @@ def build_fixture(path, use_clang, new_program, parse_file=parse_file,
     return prog
 
 
+def load_registry(path, value, key, minimum=None):
+    """Lines: `<{value}> <{key}>  [# comment]` -> {key: int value}, as in
+    tools/lock_hierarchy.txt and tools/capacity_bounds.txt.  A missing file
+    is an empty registry; a malformed line exits."""
+    out = {}
+    if not os.path.exists(path):
+        return out
+    for lineno, raw in enumerate(open(path, encoding="utf-8"), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise SystemExit(f"{path}:{lineno}: expected `<{value}> <{key}>`,"
+                             f" got: {raw.strip()}")
+        try:
+            n = int(parts[0])
+        except ValueError:
+            raise SystemExit(f"{path}:{lineno}: {value} must be an integer")
+        if minimum is not None and n < minimum:
+            raise SystemExit(f"{path}:{lineno}: {value} must be >= {minimum}")
+        if parts[1] in out:
+            raise SystemExit(f"{path}:{lineno}: duplicate {key} {parts[1]}")
+        out[parts[1]] = n
+    return out
+
+
+@dataclass
+class Finding:
+    """A rule's finding (conc, bounds): its suppression key and the lines
+    that explain it."""
+    kind: str
+    key: str
+    file: str = ""
+    line: int = 0
+    detail: list = field(default_factory=list)
+
+
+def render(headline, fd, detail):
+    """A finding as text: headline, location, detail lines, suppression key."""
+    lines = [headline] + ([f"  at {fd.file}:{fd.line}"] if fd.file else [])
+    return "\n".join(lines + list(detail) + [f"  suppression key: {fd.key}"])
+
+
 def load_baseline(path):
     """Lines: `<finding key>  # justification` (justification required)."""
     entries = {}
@@ -138,6 +185,14 @@ def report(findings, args, render):
         if args.strict_baseline:
             rc = 1
     return new, rc
+
+
+def kind_expect(tag):
+    """The `<TAG>-EXPECT: clean | flag kind=<kind> [detail=<substring>]`
+    pattern and the run_fixtures matcher that goes with it."""
+    rx = re.compile(rf"//\s*{tag}-EXPECT:\s*"
+                    r"(clean|flag\s+kind=(\S+)(?:\s+detail=(\S+))?)")
+    return rx, lambda fd, e: fd.kind == e[1] and (not e[2] or e[2] in fd.key)
 
 
 def run_fixtures(tag, fixture_dir, expect_re, frontend, build, analyze,

@@ -25,20 +25,6 @@ from .ir import all_calls
 
 ANNOT_UNTRUSTED = "untrusted"
 
-# Method names of std:: containers/strings.  A receiver call with one of
-# these names and an UNKNOWN receiver type (`em.insert(...)` on a local the
-# frontend couldn't type) must never fall back to name-only resolution —
-# that is how `bytes.insert(...)` would alias onto some project class's
-# `insert` and import its sink paths.  Receiver calls whose type IS known
-# still resolve normally (so `locator_.insert(...)` finds
-# LocationClient::insert through the field-type step).
-STD_CONTAINER_METHODS = {
-    "insert", "erase", "assign", "append", "push_back", "pop_back",
-    "emplace", "emplace_back", "find", "count", "at", "substr", "clear",
-    "resize", "reserve", "begin", "end", "front", "back", "data", "c_str",
-    "str",
-}
-
 MAX_CHAIN = 12  # call-chain depth cap when materializing findings
 
 FILTER = "FILTER"  # resolve() result for a filtered accessor call
@@ -127,51 +113,14 @@ class Flow:
 
     def resolve(self, cs, enclosing):
         """CallSite -> Func, FILTER or None (external / ambiguous)."""
-        name = cs.name
-        if name in self.filter_methods:
+        if cs.name in self.filter_methods:
             return FILTER
-        cands = self.prog.by_name.get(name, [])
-        if cs.explicit and len(cs.chain) >= 2:
-            suffix = "::".join(cs.chain)
-            matches = [q for q in cands
-                       if q == suffix or q.endswith("::" + suffix)]
-            if matches:
-                return self.prog.funcs[matches[0]]
-        if cs.recv is not None:
-            rtype = self.prog.recv_type(cs, enclosing)
-            if rtype:
-                matches = [q for q in cands
-                           if q.endswith(f"::{rtype}::{name}")]
-                if matches:
-                    return self.prog.funcs[matches[0]]
-                # The receiver's type is known and has no such method in the
-                # index: an external call (std container, stdlib).  Falling
-                # through to name-only matching here is how `bytes.insert()`
-                # would alias onto an unrelated class's `insert`.
-                return None
-            if name in STD_CONTAINER_METHODS:
-                return None  # untyped receiver + std method name: opaque
-        # Name-only fallback: drop candidates that cannot be this call —
-        # more arguments than parameters, or a free function invoked through
-        # a receiver.
-        cands = [q for q in cands if self._viable(cs, q)]
-        if len(cands) == 1:
-            return self.prog.funcs[cands[0]]
-        if len(cands) > 1:
-            # candidates agreeing on their effect signature may be merged
-            def sig(q):
-                s = self.sum[q]
-                return (self.prog.funcs[q].annots,
-                        tuple(sorted(s.sink_params)), tuple(sorted(s.clears)))
-            if all(sig(q) == sig(cands[0]) for q in cands[1:]):
-                return self.prog.funcs[cands[0]]
-        return None
+        return self.prog.resolve(cs, enclosing, self._effect)
 
-    def _viable(self, cs, q) -> bool:
-        cand = self.prog.funcs[q]
-        if len(cs.args) > len(cand.params):
-            return False
-        return not (cs.recv is not None and cand.cls is None)
+    def _effect(self, q):
+        s = self.sum[q]
+        return (self.prog.funcs[q].annots, tuple(sorted(s.sink_params)),
+                tuple(sorted(s.clears)))
 
     def opaque(self, callee) -> bool:
         """Known symbol, but no body and no annotations anywhere: its

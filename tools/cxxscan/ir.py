@@ -1,4 +1,5 @@
-"""Per-function IR shared by the analyzers and both frontends."""
+"""Per-function IR shared by the analyzers and both frontends, and the one
+call resolver all three analyzers use."""
 
 from __future__ import annotations
 
@@ -8,6 +9,20 @@ from dataclasses import dataclass, field
 # Func.file and every reported path are relative to the repository root.
 REPO = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
+
+# Method names of std:: containers, strings and smart pointers.  A receiver
+# call with one of these names and an UNKNOWN receiver type (`em.insert(...)`
+# on a local the frontend couldn't type) must never fall back to name-only
+# resolution: that is how `bytes.insert(...)` would alias onto some project
+# class's `insert` and import its effects.  Receiver calls whose type IS
+# known still resolve normally (`locator_.insert(...)` finds
+# LocationClient::insert through the field-type step).
+STD_METHODS = {
+    "insert", "erase", "assign", "append", "push_back", "pop_back",
+    "emplace", "emplace_back", "find", "count", "at", "substr", "clear",
+    "resize", "reserve", "begin", "end", "front", "back", "data", "c_str",
+    "str", "push", "pop", "top", "get", "reset", "swap", "size", "empty",
+}
 
 
 @dataclass
@@ -26,6 +41,9 @@ class CallSite:
     recv: str | None = None                      # receiver variable, if any
     recv_path: list = field(default_factory=list)  # receiver chain idents
     args: list = field(default_factory=list)     # list[Arg]
+    # Set by a frontend that lifts lambdas into their own functions (conc):
+    lambdas: list = field(default_factory=list)  # lifted lambdas in the args
+    lambda_target: str | None = None             # the lambda a call invokes
 
     @property
     def name(self):
@@ -42,6 +60,9 @@ class Stmt:
     decl_type: str | None = None                 # declared type of lhs, if a decl
     refs: list = field(default_factory=list)     # rhs identifier references
     calls: list = field(default_factory=list)    # rhs calls (top level)
+    guard: tuple | None = None                   # lock chain of a guard decl
+    block_end: bool = False                      # marker: a `}` closes a block
+    depth: int = 0                               # blocks open inside the body
 
 
 @dataclass
@@ -123,18 +144,67 @@ class Program:
             info[name]["bounded"] = True
         self.fields.setdefault(cls, {}).setdefault(name, ftype)
 
-    def recv_type(self, cs, f):
-        """Type of a call's receiver chain, through locals then members."""
-        if not cs.recv_path:
+    def path_type(self, path, f):
+        """Type of `a.b.c` in function f, through locals then members."""
+        if not path:
             return None
-        t = f.local_types.get(cs.recv_path[0])
+        t = f.local_types.get(path[0])
         if t is None and f.cls:
-            t = self.fields.get(f.cls, {}).get(cs.recv_path[0])
-        for fieldname in cs.recv_path[1:]:
+            t = self.fields.get(f.cls, {}).get(path[0])
+        for fieldname in path[1:]:
             if t is None:
                 return None
             t = self.fields.get(t, {}).get(fieldname)
         return t
+
+    def resolve(self, cs, f, effect):
+        """CallSite in function f -> the Func it calls, or None (external or
+        ambiguous).  effect(qname) is the analyzer's summary of a candidate:
+        name-only candidates that agree on it are merged."""
+        if cs.lambda_target:
+            return self.funcs.get(cs.lambda_target)
+        name = cs.name
+        cands = self.by_name.get(name, [])
+        if cs.explicit and cs.chain[0] == "std":
+            return None  # std::fill is never a project `fill`
+        if cs.explicit and len(cs.chain) >= 2:
+            suffix = "::".join(cs.chain)
+            matches = [q for q in cands
+                       if q == suffix or q.endswith("::" + suffix)
+                       or suffix.endswith("::" + q)]
+            if matches:
+                return self.funcs[matches[0]]
+        if cs.recv is not None:
+            # `(*p)->find(k)`, `make().count()`: an expression receiver is
+            # untyped, like an untyped variable
+            rtype = self.path_type(cs.recv_path, f)
+            if rtype:
+                matches = [q for q in cands if q == f"{rtype}::{name}"
+                           or q.endswith(f"::{rtype}::{name}")]
+                # A typed receiver without such a method in the index is an
+                # external call (std container, stdlib).
+                return self.funcs[matches[0]] if matches else None
+            if name in STD_METHODS:
+                return None
+        elif not cs.explicit and f.cls:
+            # An unqualified call inside class C means C::name first.
+            own = [q for q in cands if q == f"{f.cls}::{name}"
+                   or q.endswith(f"::{f.cls}::{name}")]
+            if own:
+                return self.funcs[own[0]]
+        # Name-only fallback, without candidates that cannot be this call:
+        # more arguments than parameters, or a free function invoked through
+        # a receiver.
+        cands = [q for q in cands if self._viable(cs, self.funcs[q])]
+        if cands and all(effect(q) == effect(cands[0]) for q in cands[1:]):
+            return self.funcs[cands[0]]
+        return None
+
+    @staticmethod
+    def _viable(cs, cand) -> bool:
+        if len(cs.args) > len(cand.params):
+            return False
+        return not (cs.recv is not None and cand.cls is None)
 
 
 def subsys_of(relpath: str) -> str:

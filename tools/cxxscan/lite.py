@@ -3,8 +3,8 @@
 `scan_declarations` walks a token stream and yields every function
 declaration or definition with its qualified name, parameter tokens,
 qualifier zone and body tokens.  `parse_file` turns those into the
-statement IR (ir.Func with ir.Stmt bodies); an analyzer with its own body
-IR consumes `scan_declarations` directly.  `harvest_fields` and
+statement IR (ir.Func with ir.Stmt bodies), with lock-guard declarations
+and block ends marked for conc's scope tracking.  `harvest_fields` and
 `harvest_mutexes` read member declarations out of class bodies by regex.
 """
 
@@ -25,6 +25,10 @@ TEMPLATE_CALLS = {"make_unique"}
 
 _SINGLE_TYPES = {"auto", "bool", "int", "unsigned", "long", "short", "float",
                  "double", "char", "size_t", "uint32_t", "uint64_t"}
+
+# RAII lock guards of util/mutex.hpp: `LockGuard g(mu_);` parses to a Stmt
+# whose `guard` is the lock expression's identifier chain.
+GUARD_TYPES = {"LockGuard", "RecursiveLockGuard", "UniqueLock"}
 
 
 def _name(t: str) -> bool:
@@ -247,9 +251,13 @@ def parse_expr(toks):
     n = len(toks)
     while i < n:
         t, line = toks[i]
-        if not _name(t):
+        std = t == "std" and i + 1 < n and toks[i + 1][0] == "::"
+        if not (_name(t) or std):
             i += 1
             continue
+        # `(*p)->find(k)`, `make().count()`: the receiver is an expression
+        temp = i >= 2 and toks[i - 1][0] in (".", "->") \
+            and toks[i - 2][0] == ")"
         # Parse the whole postfix chain forward: a::b, x.f, p->q ...
         chain, seps = [t], []
         j = i + 1
@@ -270,7 +278,9 @@ def parse_expr(toks):
                 j = k + 1
         if j < n and toks[j][0] == "(":
             cs = CallSite(line=line, chain=chain, array_form=array_form)
-            if seps and seps[-1] in (".", "->"):
+            if temp:
+                cs.recv = ""  # a receiver, but no variable names it
+            elif seps and seps[-1] in (".", "->"):
                 cs.recv_path = chain[:-1]
                 cs.recv = cs.recv_path[0]
             else:
@@ -339,8 +349,10 @@ def parse_stmt(seg) -> Stmt | None:
                 eq = idx
                 compound = True
                 break
+    lhs_calls = []
     if eq is not None and st.lhs is None:
         lhs_toks = seg[:eq]
+        lhs_calls = parse_expr(lhs_toks)[1]  # `m_[slot(k)] = v` calls slot
         idents = [tk[0] for tk in lhs_toks if _name(tk[0])]
         member = any(tk[0] in (".", "->", "[") for tk in lhs_toks)
         if idents:
@@ -377,18 +389,23 @@ def parse_stmt(seg) -> Stmt | None:
                 # the ctor call: Type(args)
                 end = match_forward(seg, last_idx + 1,
                                     nxt, ")" if nxt == "(" else "}")
+                inner = seg[last_idx + 2:end - 1]
+                if st.decl_type in GUARD_TYPES:
+                    st.guard = tuple(
+                        t for t, _ in split_top(inner)[0]
+                        if _name(t) and t not in ("util", "globe"))
                 cs = CallSite(line=st.line, chain=[st.decl_type, st.decl_type],
                               explicit=True)
-                cs.args = _call_args(seg[last_idx + 2:end - 1])
+                cs.args = _call_args(inner)
                 st.calls.append(cs)
                 return st
     refs, calls = parse_expr(seg)
-    st.refs.extend(refs)
-    st.calls.extend(calls)
     # Condition refs/calls of a brace-less control statement ride along so
     # calls in the condition (e.g. `if (x.verify()) use(x)`) still count.
-    st.refs.extend(cond_refs)
-    st.calls.extend(cond_calls)
+    # Calls are in evaluation order: the condition, then an assignment's
+    # right side, then its left.
+    st.refs.extend(refs + cond_refs)
+    st.calls.extend(cond_calls + calls + lhs_calls)
     if st.lhs is None and st.decl_type is None and not st.is_return \
             and not st.calls and not st.refs:
         return None
@@ -396,21 +413,24 @@ def parse_stmt(seg) -> Stmt | None:
 
 
 def parse_body(toks):
-    """Linearizes a function body into statements (textual order)."""
+    """Linearizes a function body into statements (textual order).  Each
+    `}` that closes a block inside the body adds a `block_end` marker at the
+    block's depth, so a guard's scope ends where its block does."""
     stmts = []
     local_types = {}
     seg = []
     i, n = 0, len(toks)
-    pdepth = 0
+    pdepth = depth = 0
 
     def flush():
         st = parse_stmt(seg)
         if st:
+            st.depth = depth
             stmts.append(st)
         return st
 
     while i < n:
-        t = toks[i][0]
+        t, line = toks[i]
         if t == "(":
             pdepth += 1
             seg.append(toks[i])
@@ -433,6 +453,7 @@ def parse_body(toks):
             if not seg or seg[0][0] in CONTROL:
                 flush()
                 seg = []  # descend into the block
+                depth += 1
             else:
                 # init-list / lambda body: swallow balanced braces into the
                 # current statement so its refs stay attached.
@@ -443,6 +464,9 @@ def parse_body(toks):
         elif t == "}" and pdepth == 0:
             flush()
             seg = []
+            if depth > 0:
+                stmts.append(Stmt(line=line, block_end=True, depth=depth))
+                depth -= 1
         else:
             seg.append(toks[i])
         i += 1
@@ -450,27 +474,31 @@ def parse_body(toks):
     return stmts, local_types
 
 
-def parse_file(path: str, prog):
-    """Adds every function of one source file to `prog` (statement IR)."""
+def parse_file(path: str, prog, expand=None):
+    """Adds every function of one source file to `prog` (statement IR) and
+    returns the stripped text.  expand(decl), if given, returns the
+    declarations to parse in place of `decl` (conc lifts lambdas this way)."""
     text = strip_comments(open(path, encoding="utf-8", errors="replace").read())
     rel = os.path.relpath(path, REPO)
-    for d in scan_declarations(tokenize(text)):
-        f = Func(qname=d.qname, file=rel, line=d.line, cls=d.cls)
-        for tok, _ in d.head + d.quals:
-            a = prog.annot_of(tok)
-            if a:
-                f.annots.add(a)
-        f.params = [parse_param(part, prog) for part in split_top(d.params)
-                    if part and [t for t, _ in part] != ["void"]]
-        if d.body is not None:
-            f.stmts, f.local_types = parse_body(d.body)
-            f.has_body = True
-            # parameters are locals too
-            for p in f.params:
-                if p.name and p.type:
-                    f.local_types.setdefault(p.name, p.type)
-        prog.add(f)
+    for decl in scan_declarations(tokenize(text)):
+        for d in expand(decl) if expand else (decl,):
+            f = Func(qname=d.qname, file=rel, line=d.line, cls=d.cls)
+            for tok, _ in d.head + d.quals:
+                a = prog.annot_of(tok)
+                if a:
+                    f.annots.add(a)
+            f.params = [parse_param(part, prog) for part in split_top(d.params)
+                        if part and [t for t, _ in part] != ["void"]]
+            if d.body is not None:
+                f.stmts, f.local_types = parse_body(d.body)
+                f.has_body = True
+                # parameters are locals too
+                for p in f.params:
+                    if p.name and p.type:
+                        f.local_types.setdefault(p.name, p.type)
+            prog.add(f)
     harvest_fields(text, rel, prog)
+    return text
 
 
 # --------------------------------------------------------------------------
@@ -543,11 +571,20 @@ def type_base(spelling: str) -> str:
     return spelling.split("<")[0].split("::")[-1].strip("& *")
 
 
+def member_type(spelling: str) -> str:
+    """Base type, looking through unique_ptr / shared_ptr / optional, so a
+    `std::unique_ptr<GlobeDocProxy> proxy_` receiver resolves."""
+    base = type_base(spelling)
+    if base in ("unique_ptr", "shared_ptr", "optional") and "<" in spelling:
+        return type_base(spelling.split("<", 1)[1].rsplit(">", 1)[0])
+    return base
+
+
 def harvest_fields(text: str, relpath: str, prog):
     """Adds every `Type name_ [GLOBE_...] [= init];` member to `prog`."""
     for cls, body, off in class_bodies(text):
         for fm in FIELD_RE.finditer(body):
-            ftype = type_base(fm.group(1))
+            ftype = member_type(fm.group(1))
             if ftype in ("return", "using", "typedef", "namespace"):
                 continue
             line = text.count("\n", 0, off + fm.start()) + 1

@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Self-test for the shared scanning core: baseline suppression, the
-comment/literal stripper and the annotated class-head rule.
+comment/literal stripper, the annotated class-head rule, the member harvest,
+the statement parser's lock-guard and block-end marks, and the call resolver
+all three analyzers share.
 
 Usage: python3 tools/cxxscan/self_test.py   (exit 0 = every case passed)
 """
@@ -19,7 +21,7 @@ TOOLS = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, TOOLS)
 
 from cxxscan import cli, lite  # noqa: E402
-from cxxscan.ir import Program  # noqa: E402
+from cxxscan.ir import Program, all_calls  # noqa: E402
 from cxxscan.lex import strip_comments, tokenize  # noqa: E402
 
 FAILURES = []
@@ -153,6 +155,128 @@ def annotated_class_head_opens_scope():
     info = prog.field_info.get("FrameCache", {}).get("frames_")
     check(info is not None and info["type"] == "vector" and info["line"] == 6,
           f"FrameCache.frames_ not harvested: {prog.field_info}")
+
+
+def _parse(source):
+    """Lite-parses one C++ snippet into the statement IR."""
+    fd, path = tempfile.mkstemp(suffix=".cpp")
+    with os.fdopen(fd, "w") as f:
+        f.write(source)
+    try:
+        prog = Program()
+        lite.parse_file(path, prog)
+        return prog
+    finally:
+        os.unlink(path)
+
+
+def _resolve(prog, qname, name):
+    """What the one call of `name` in function `qname` resolves to (a qname
+    or None).  Every candidate counts as a distinct effect, so only a unique
+    candidate resolves through the name-only fallback."""
+    f = prog.funcs[qname]
+    calls = [cs for st in f.stmts for cs in all_calls(st) if cs.name == name]
+    check(len(calls) == 1, f"{qname}: {len(calls)} calls of {name}, want 1")
+    t = prog.resolve(calls[0], f, lambda q: q) if calls else None
+    return t.qname if t is not None else None
+
+
+@case
+def members_typed_through_smart_pointers():
+    text = strip_comments(
+        "class Holder {\n"
+        "  std::unique_ptr<GlobeDocProxy> proxy_;\n"
+        "  std::optional<cache::EdgeCacheTier> tier_ GLOBE_GUARDED_BY(mu_);\n"
+        "  std::shared_ptr<std::vector<Store>> stores_;\n"
+        "  std::map<std::string, std::set<int>> index_ GLOBE_BOUNDED;\n"
+        "};\n")
+    prog = Program()
+    lite.harvest_fields(text, "src/x/holder.hpp", prog)
+    got = prog.fields.get("Holder", {})
+    want = {"proxy_": "GlobeDocProxy", "tier_": "EdgeCacheTier",
+            "stores_": "vector", "index_": "map"}
+    check(got == want, f"member types: {got}, want {want}")
+    check(prog.field_info["Holder"]["index_"]["bounded"],
+          "GLOBE_BOUNDED after nested template arguments not seen")
+
+
+@case
+def guards_and_block_ends_are_marked():
+    prog = _parse(
+        "void Store::put(int v) {\n"                        # 1
+        "  {\n"                                             # 2
+        "    util::LockGuard lock(*host.lock);\n"           # 3
+        "    util::UniqueLock held(mu_);\n"                 # 4
+        "  }\n"                                             # 5
+        "  write(v);\n"                                     # 6
+        "}\n")
+    got = [(st.line, st.guard, st.decl_type, st.block_end, st.depth)
+           for st in prog.funcs["Store::put"].stmts]
+    want = [(3, ("host", "lock"), "LockGuard", False, 1),
+            (4, ("mu_",), "UniqueLock", False, 1),
+            (5, None, None, True, 1),
+            (6, None, None, False, 0)]
+    check(got == want, f"statements: {got}, want {want}")
+
+
+@case
+def statement_calls_in_evaluation_order():
+    prog = _parse("void Tab::put(int v) {\n"
+                  "  if (ready()) rows_[slot(v)] = load(v);\n"
+                  "}\n")
+    got = [cs.name for st in prog.funcs["Tab::put"].stmts
+           for cs in all_calls(st)]
+    want = ["ready", "load", "slot"]  # condition, right side, left side
+    check(got == want, f"calls: {got}, want {want}")
+
+
+@case
+def std_and_temporary_receiver_calls_resolve_to_nothing():
+    prog = _parse(
+        "class Loader { public: void fill(int* a, int* b, int v);\n"
+        "               void find(int k); void emit(int e); };\n"
+        "class Buffer {\n"
+        " public:\n"
+        "  void clear() { std::fill(a_, a_ + 4, 0); }\n"
+        "  void look(int k) { (*state_)->find(k); }\n"
+        "  void log(int e) { loader().emit(e); }\n"
+        "};\n"
+        "void refill(int* a) { fill(a, a + 4, 0); }\n")
+    for qname, name, want in (("Buffer::clear", "fill", None),
+                              ("Buffer::look", "find", None),
+                              # not a std method name: the one method wins
+                              ("Buffer::log", "emit", "Loader::emit"),
+                              # the same call without std:: does resolve
+                              ("refill", "fill", "Loader::fill")):
+        got = _resolve(prog, qname, name)
+        check(got == want, f"{qname}: {name} resolved to {got}, want {want}")
+
+
+@case
+def argument_count_filters_name_only_candidates():
+    prog = _parse(
+        "class Rng { public: void fill(int n); };\n"
+        "class Tier { public: void fill(int oid, int element); };\n"
+        "void two() { fill(1, 2); }\n"
+        "void one() { fill(1); }\n")
+    for qname, want in (("two", "Tier::fill"), ("one", None)):
+        got = _resolve(prog, qname, "fill")
+        check(got == want, f"{qname}: fill resolved to {got}, want {want}")
+
+
+@case
+def unqualified_call_prefers_the_enclosing_class():
+    prog = _parse(
+        "class Rng {\n"
+        " public:\n"
+        "  void fill(int n);\n"
+        "  void bytes() { fill(4); }\n"
+        "};\n"
+        "class Tier { public: void fill(int n); };\n"
+        "void loose() { fill(4); }\n")
+    for qname, want in (("Rng::bytes", "Rng::fill"), ("loose", None)):
+        got = _resolve(prog, qname, "fill")
+        check(got == want, f"{qname}: fill resolved to {got}, want {want}")
 
 
 def main():

@@ -59,11 +59,13 @@ Documents"):
                  disables the alert it defines.
 
   lock-rank      Every util::Mutex / util::RecursiveMutex class member in
-                 src/ must hold a rank in tools/lock_hierarchy.txt, so a new
-                 mutex cannot join the lock-acquisition graph unranked and
+  lock-rank-     src/ must hold a rank in tools/lock_hierarchy.txt, so a new
+  stale          mutex cannot join the lock-acquisition graph unranked and
                  invisible to tools/conc_check.py's order checking (DESIGN.md
-                 §13).  Scanning is shared with conc_check so the two tools
-                 can never disagree about what counts as a mutex member.
+                 §13); and every rank must still name such a member, so the
+                 rank of a deleted or renamed mutex cannot linger.  Scanning
+                 is shared with conc_check so the two tools can never
+                 disagree about what counts as a mutex member.
 
   capacity-rank  Every GLOBE_BOUNDED container member in src/ must be
   capacity-stale ranked in tools/capacity_bounds.txt, and every registry
@@ -416,38 +418,51 @@ def check_slo_catalog(violations: list[str]) -> None:
                     )
 
 
+def _cxxscan():
+    """The analyzers' scanning core (tools/cxxscan): lint reads members and
+    registries through it, so lint and the analyzers agree byte for byte on
+    what a member id is and what a registry line says."""
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
+    try:
+        import cxxscan
+    finally:
+        sys.path.pop(0)
+    return cxxscan
+
+
 LOCK_HIERARCHY = "tools/lock_hierarchy.txt"
 
 
 def check_lock_hierarchy(violations: list[str]) -> None:
-    """Every mutex member in src/ must be ranked in the lock hierarchy."""
-    # Reuse the analyzers' scanner (tools/cxxscan) so lint and conc_check
-    # agree, byte for byte, on what a mutex member and its lock id are.
-    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
-    try:
-        import conc_check
-        import cxxscan
-    finally:
-        sys.path.pop(0)
-    ranks = conc_check.load_hierarchy(str(REPO / LOCK_HIERARCHY))
+    """Mutex members in src/ and tools/lock_hierarchy.txt must match 1:1."""
+    cxxscan = _cxxscan()
+    ranks = cxxscan.load_registry(str(REPO / LOCK_HIERARCHY), "rank",
+                                  "lock id")
+    mutexes: dict[str, tuple[str, int]] = {}
     for path in iter_sources():
         rel = relpath(path)
         if not rel.startswith("src/"):
             continue
-        mutexes: dict[str, int] = {}
         text = cxxscan.strip_comments(
             path.read_text(encoding="utf-8", errors="replace"))
         for cls, member, _kind, line in cxxscan.harvest_mutexes(text):
             mutexes.setdefault(f"{cxxscan.subsys_of(rel)}.{cls}.{member}",
-                               line)
-        for lock_id, line in sorted(mutexes.items()):
-            if lock_id not in ranks:
-                violations.append(
-                    f"{rel}:{line}: [lock-rank] mutex member "
-                    f"\"{lock_id}\" has no rank in {LOCK_HIERARCHY} — run "
-                    "`tools/conc_check.py --edges src` to place it, then "
-                    f"add a `<rank> {lock_id}` line"
-                )
+                               (rel, line))
+    for lock_id, (rel, line) in sorted(mutexes.items()):
+        if lock_id not in ranks:
+            violations.append(
+                f"{rel}:{line}: [lock-rank] mutex member "
+                f"\"{lock_id}\" has no rank in {LOCK_HIERARCHY} — run "
+                "`tools/conc_check.py --edges src` to place it, then "
+                f"add a `<rank> {lock_id}` line"
+            )
+    for lock_id in sorted(ranks):
+        if lock_id not in mutexes:
+            violations.append(
+                f"{LOCK_HIERARCHY}: [lock-rank-stale] entry \"{lock_id}\" "
+                "matches no util::Mutex / util::RecursiveMutex member in "
+                "src/ — remove the line or restore the member"
+            )
 
 
 CAPACITY_BOUNDS = "tools/capacity_bounds.txt"
@@ -455,16 +470,9 @@ CAPACITY_BOUNDS = "tools/capacity_bounds.txt"
 
 def check_capacity_registry(violations: list[str]) -> None:
     """GLOBE_BOUNDED members and tools/capacity_bounds.txt must match 1:1."""
-    # Reuse the analyzers' field harvest (tools/cxxscan) so lint and
-    # bounds_check agree, byte for byte, on what a bounded member and its id
-    # are.
-    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
-    try:
-        import bounds_check
-        import cxxscan
-    finally:
-        sys.path.pop(0)
-    caps = bounds_check.load_capacity(str(REPO / CAPACITY_BOUNDS))
+    cxxscan = _cxxscan()
+    caps = cxxscan.load_registry(str(REPO / CAPACITY_BOUNDS), "capacity",
+                                 "member", minimum=0)
     bounded: dict[str, tuple[str, int]] = {}
     for path in iter_sources():
         rel = relpath(path)
@@ -760,6 +768,25 @@ SELF_TEST_CASES = [
         None,
     ),
     (
+        "stale lock rank fires",
+        "tools/lock_hierarchy.txt",
+        "10 util.Ranked.mu_  # self-test seed\n"
+        "20 util.Gone.mu_  # member deleted long ago\n",
+        "lock-rank-stale",
+    ),
+    (
+        "rank of a renamed mutex fires",
+        "tools/lock_hierarchy.txt",
+        "10 util.Ranked.mutex_  # the member is mu_ now\n",
+        "lock-rank-stale",
+    ),
+    (
+        "live lock ranks clean",
+        "tools/lock_hierarchy.txt",
+        "10 util.Ranked.mu_  # self-test seed\n",
+        None,
+    ),
+    (
         "unranked bounded member fires",
         "src/cache/pool.hpp",
         "class Pool {\n  std::vector<int> items_ GLOBE_BOUNDED;\n};\n",
@@ -809,11 +836,18 @@ def run_self_test() -> int:
             catalog.parent.mkdir(parents=True, exist_ok=True)
             catalog.write_text(
                 "# Metric catalog\n\n`proxy.fetches`\n`rsa_verify`\n")
-            # Minimal lock hierarchy so lock-rank cases can distinguish a
-            # ranked mutex from an unranked one.
+            # Minimal lock hierarchy + the mutex member it ranks, so lock-rank
+            # cases can distinguish ranked from unranked and live from stale
+            # (skipped when the case under test owns these paths).
             hierarchy = root / LOCK_HIERARCHY
             hierarchy.parent.mkdir(parents=True, exist_ok=True)
-            hierarchy.write_text("10 util.Ranked.mu_  # self-test seed\n")
+            if not hierarchy.exists():
+                hierarchy.write_text("10 util.Ranked.mu_  # self-test seed\n")
+            seedmutex = root / "src/util/ranked.hpp"
+            if not seedmutex.exists():
+                seedmutex.parent.mkdir(parents=True, exist_ok=True)
+                seedmutex.write_text(
+                    "class Ranked {\n  mutable util::Mutex mu_;\n};\n")
             # Minimal capacity registry + a matching GLOBE_BOUNDED member so
             # capacity cases can distinguish ranked from unranked and live
             # from stale (skipped when the case under test owns these paths).
